@@ -40,6 +40,8 @@ type explainResponse struct {
 // so the whole body is cached under hash/trials/explain and a repeat
 // request is a cache hit with no engine run; the plain result body is
 // also cached under the normal key for later untraced requests.
+// Identical concurrent explains share one flight on that key, run
+// detached exactly like /v1/simulate's: joiners are CacheShared.
 //
 // Requests with the trace flag set are rejected (explain consumes the
 // trace internally; ask for one or the other), as are trials > 1 (a
@@ -70,25 +72,37 @@ func (s *Service) Explain(ctx context.Context, req SimulateRequest) ([]byte, Cac
 	if err != nil {
 		return nil, CacheMiss, err
 	}
+	c, leader := s.flights.lead(key)
+	status := CacheMiss
+	if leader {
+		s.met.addCacheMisses(1)
+		s.detach([]string{key}, []*call{c}, func(ctx context.Context) error {
+			body, err := s.explain(ctx, cfg, key, resKey)
+			if err != nil {
+				return err
+			}
+			s.flights.finish(key, c, body, nil)
+			return nil
+		})
+	} else {
+		s.met.addDedupShared(1)
+		status = CacheShared
+	}
+	b, err := s.await(ctx, c)
+	return b, status, err
+}
 
+// explain is one explain flight's work: the traced run, the report and
+// its conservation check, and the cache fills. The run honours ctx;
+// explain.Build takes none, because on a trace capped at
+// MaxTraceEvents it is linear and cheaper than the traced run before
+// it.
+func (s *Service) explain(ctx context.Context, cfg core.Config, key, resKey string) ([]byte, error) {
 	rec := trace.New(s.opts.MaxTraceEvents)
 	cfg.Trace = rec
-	if s.opts.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
-		defer cancel()
-	}
-	if err := s.gate.acquire(ctx); err != nil {
-		if err == ErrOverloaded {
-			s.met.addShed()
-		}
-		return nil, CacheMiss, err
-	}
-	defer s.gate.release()
-	s.met.addCacheMisses(1)
-	aggs, err := core.RunGridContext(ctx, []core.Config{cfg}, trials, 1)
+	aggs, err := s.runGrid(ctx, []core.Config{cfg}, 1, 1)
 	if err != nil {
-		return nil, CacheMiss, err
+		return nil, err
 	}
 	res := aggs[0].Results[0]
 	result := core.NewResultJSON(aggs[0])
@@ -104,7 +118,7 @@ func (s *Service) Explain(ctx context.Context, req SimulateRequest) ([]byte, Cac
 		// A conservation failure on an untruncated trace is a bug, not
 		// a client error; surface it as a 500 rather than serving an
 		// attribution that doesn't add up.
-		return nil, CacheMiss, err
+		return nil, err
 	}
 	body, err := json.Marshal(explainResponse{
 		ResultJSON:     result,
@@ -112,12 +126,12 @@ func (s *Service) Explain(ctx context.Context, req SimulateRequest) ([]byte, Cac
 		Explain:        rep,
 	})
 	if err != nil {
-		return nil, CacheMiss, err
+		return nil, err
 	}
 	// A truncated report is incomplete; keep it out of the cache so a
 	// redeploy with a larger MaxTraceEvents can answer properly.
 	if !rec.Truncated() {
 		s.cacheAdd(key, body)
 	}
-	return body, CacheMiss, nil
+	return body, nil
 }

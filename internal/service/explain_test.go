@@ -2,11 +2,19 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/core"
 )
 
 // explainBody is the subset of the explain response the tests assert.
@@ -85,6 +93,78 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 	if bytes.Contains(body3, []byte(`"explain"`)) {
 		t.Fatalf("plain cached body leaked the report: %s", body3)
+	}
+}
+
+// TestExplainSingleflight: identical concurrent explains share one
+// flight — one traced run and one Build — with the leader answering
+// "miss", every joiner "shared", and all bodies byte-equal. The engine
+// run is held until every joiner has registered, so the overlap is
+// certain rather than timing-dependent.
+func TestExplainSingleflight(t *testing.T) {
+	const clients = 8
+	svc := New(Options{})
+	var runs atomic.Int32
+	svc.runGrid = func(ctx context.Context, cfgs []core.Config, trials, workers int) ([]core.Aggregate, error) {
+		runs.Add(1)
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if _, _, shared := svc.met.snapshot(); shared >= clients-1 {
+				break
+			}
+		}
+		return core.RunGridContext(ctx, cfgs, trials, workers)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	req, err := json.Marshal(fastPoint(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bodies := make([][]byte, clients)
+	statuses := make([]string, clients)
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/explain", "application/json", bytes.NewReader(req))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			bodies[i], errs[i] = io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, bodies[i])
+			}
+			statuses[i] = resp.Header.Get("X-Cache")
+		}(i)
+	}
+	wg.Wait()
+
+	count := map[string]int{}
+	for i := range errs {
+		if errs[i] != nil {
+			t.Fatalf("client %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("client %d body differs:\n%s\nvs\n%s", i, bodies[i], bodies[0])
+		}
+		count[statuses[i]]++
+	}
+	if count["miss"] != 1 || count["shared"] != clients-1 {
+		t.Fatalf("X-Cache counts %v, want 1 miss and %d shared", count, clients-1)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("%d engine runs, want 1", n)
+	}
+	if _, misses, shared := svc.met.snapshot(); misses != 1 || shared != clients-1 {
+		t.Fatalf("metrics: %d misses, %d shared; want 1 and %d", misses, shared, clients-1)
+	}
+	if err := svc.Drain(testCtx(t, 5*time.Second)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -462,31 +462,52 @@ func (s *Service) trials(req int) (int, error) {
 	return req, nil
 }
 
-// spawn starts the detached execution of the flights this caller
-// leads. Detached means: its lifetime is bounded by the service's
-// RequestTimeout and tracked for Drain, not by any one requester's
-// context.
+// spawn starts the detached engine run of the point flights this
+// caller leads: one admitted core.RunGrid over the batch, each point's
+// body cached and its call finished.
 func (s *Service) spawn(keys []string, calls []*call, cfgs []core.Config, trials int) {
+	s.detach(keys, calls, func(ctx context.Context) error {
+		aggs, err := s.runGrid(ctx, cfgs, trials, s.opts.Workers)
+		if err != nil {
+			return err
+		}
+		for i := range calls {
+			b, err := json.Marshal(core.NewResultJSON(aggs[i]))
+			if err == nil {
+				s.cacheAdd(keys[i], b)
+			}
+			s.flights.finish(keys[i], calls[i], b, err)
+		}
+		return nil
+	})
+}
+
+// detach starts work on the flights this caller leads, in a goroutine
+// the Service owns. Detached means: its lifetime is bounded by the
+// service's RequestTimeout and tracked for Drain, not by any one
+// requester's context. work must finish every call it succeeds on; an
+// error return fails the rest.
+func (s *Service) detach(keys []string, calls []*call, work func(ctx context.Context) error) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
 		defer cancel()
-		s.execute(ctx, keys, calls, cfgs, trials)
+		s.execute(ctx, keys, calls, work)
 	}()
 }
 
-// execute admits one engine run for the batch, runs it, caches each
-// point's body, and finishes every call at most once — on success,
-// failure, or panic. The panic guard matters because execute runs in a
-// detached goroutine: without it a panicking engine would kill the
-// whole daemon, and the HTTP layer's recovery middleware (which only
-// shields handler goroutines) answers the leader's request but could
-// never reach the joiners parked on this flight. Recovering here fails
-// the entire batch promptly (leader and joiners all see a 500) and
-// retires every key, so the next request for any of them leads a
-// fresh flight instead of hanging on a poisoned one.
-func (s *Service) execute(ctx context.Context, keys []string, calls []*call, cfgs []core.Config, trials int) {
+// execute admits one run of work through the gate, runs it, and
+// finishes every call at most once — on success, failure, or panic.
+// The panic guard matters because execute runs in a detached
+// goroutine: without it a panicking engine would kill the whole
+// daemon, and the HTTP layer's recovery middleware (which only shields
+// handler goroutines) answers the leader's request but could never
+// reach the joiners parked on this flight. Recovering here fails the
+// entire batch promptly (leader and joiners all see a 500) and retires
+// every key, so the next request for any of them leads a fresh flight
+// instead of hanging on a poisoned one.
+func (s *Service) execute(ctx context.Context, keys []string, calls []*call, work func(ctx context.Context) error) {
 	fail := func(err error) {
 		for i := range calls {
 			s.flights.finish(keys[i], calls[i], nil, err)
@@ -509,17 +530,8 @@ func (s *Service) execute(ctx context.Context, keys []string, calls []*call, cfg
 		return
 	}
 	defer s.gate.release()
-	aggs, err := s.runGrid(ctx, cfgs, trials, s.opts.Workers)
-	if err != nil {
+	if err := work(ctx); err != nil {
 		fail(err)
-		return
-	}
-	for i := range calls {
-		b, err := json.Marshal(core.NewResultJSON(aggs[i]))
-		if err == nil {
-			s.cacheAdd(keys[i], b)
-		}
-		s.flights.finish(keys[i], calls[i], b, err)
 	}
 }
 
