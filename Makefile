@@ -41,8 +41,10 @@ lint:
 # Fuzz smoke: the serving boundary must never panic on arbitrary bytes,
 # the canonical config encoding must be a decode/encode fixed point, the
 # disk-cache entry codec must reject every mutation of its one valid
-# serialization per entry, and the lint layer's directive parser and
-# baseline codec must survive arbitrary comment text and ledger bytes.
+# serialization per entry, the lint layer's directive parser and
+# baseline codec must survive arbitrary comment text and ledger bytes,
+# and the trace CSV reader must split records as encoding/csv does and
+# read back every export it accepts as a fixed point.
 FUZZTIME ?= 10s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzDecodeSimulateRequest$$' -fuzztime $(FUZZTIME) ./internal/service
@@ -51,6 +53,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzDecodeDiskCacheEntry$$' -fuzztime $(FUZZTIME) ./internal/diskcache
 	go test -run '^$$' -fuzz '^FuzzParseAllowDirective$$' -fuzztime $(FUZZTIME) ./internal/lint
 	go test -run '^$$' -fuzz '^FuzzBaselineRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/lint
+	go test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/trace
 
 bench:
 	go test -bench=. -benchmem ./...
@@ -63,7 +66,7 @@ bench:
 # delta against the previous ledger and flags >10% regressions.
 bench-json:
 	{ go test -run '^$$' -bench '^Benchmark(Fig|All|Ablation|Ext|Anchor|Urn|TRMarkov)' -benchtime=2x . ; \
-	  go test -run '^$$' -bench '^Benchmark(Kernel|Disk|Cache|LoserTree|Merge|Service|Optimize|Explain)' -benchmem . ; } \
+	  go test -run '^$$' -bench '^Benchmark(Kernel|Disk|Cache|LoserTree|Merge|Service|Optimize|Explain|Trace)' -benchmem . ; } \
 	| go run ./cmd/benchjson -out BENCH_4.json
 	go run ./cmd/benchjson -compare BENCH_3.json BENCH_4.json
 

@@ -14,6 +14,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"io"
@@ -200,6 +201,60 @@ func BenchmarkExplainReport(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// referenceTrace records the reference trace that `mergesim -k 50 -d 10
+// -n 1 -merge-ms 0.3 -trace x.csv -trace-format csv` writes (1000
+// blocks/run, natural cache, seed 1): ~490k events.
+func referenceTrace(b *testing.B) *trace.Recorder {
+	b.Helper()
+	cfg := core.Default()
+	cfg.K = 50
+	cfg.D = 10
+	cfg.N = 1
+	cfg.BlocksPerRun = 1000
+	cfg.MergeTimePerBlock = sim.Ms(0.3)
+	cfg.CacheBlocks = cfg.DefaultCache()
+	cfg.Seed = 1
+	rec := trace.New(0)
+	cfg.Trace = rec
+	if _, err := core.Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+	return rec
+}
+
+// BenchmarkTraceWriteCSV measures the trace CSV exporter on the
+// reference trace; ns/event is per exported row.
+func BenchmarkTraceWriteCSV(b *testing.B) {
+	rec := referenceTrace(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rec.WriteCSV(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rec.Len()), "ns/event")
+}
+
+// BenchmarkTraceReadCSV measures reading the reference trace's CSV
+// back into a Recorder; ns/event is per row read.
+func BenchmarkTraceReadCSV(b *testing.B) {
+	rec := referenceTrace(b)
+	var buf bytes.Buffer
+	if err := rec.WriteCSV(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.ReadCSV(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rec.Len()), "ns/event")
 }
 
 // BenchmarkKernelProcessSwitch measures the process handoff cost.

@@ -1,10 +1,13 @@
 package trace
 
 import (
-	"encoding/csv"
 	"io"
+	"math"
 	"sort"
 	"strconv"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/sim"
 )
@@ -27,59 +30,73 @@ const TruncatedMark = "trace-truncated"
 // with a sentinel "mark" row named by TruncatedMark. The byte stream is
 // deterministic for a fixed (config, seed).
 func (r *Recorder) WriteCSV(w io.Writer) error {
-	ms := func(t sim.Time) string { return strconv.FormatFloat(float64(t), 'g', -1, 64) }
 	disk, cpu, prefetch := r.DiskSpans(), r.CPUSpans(), r.PrefetchSpans()
 	cache, queue, marks := r.CacheSamples(), r.QueueSamples(), r.Marks()
+	var ms msMemo
+	// Each track name is encoded once, on first use.
+	names := make([][]byte, r.Tracks())
+	// head appends a row's kind and track fields.
+	head := func(b []byte, kind string, track int) []byte {
+		b = append(append(b, kind...), ',')
+		if track < 0 || track >= len(names) {
+			b = appendCSVField(b, r.TrackName(track))
+		} else {
+			if names[track] == nil {
+				names[track] = appendCSVField(nil, r.TrackName(track))
+			}
+			b = append(b, names[track]...)
+		}
+		return append(b, ',')
+	}
 	// One source per category, in the fixed order that breaks ties
 	// between equal start instants.
 	srcs := [...]rowSource{
-		{n: len(disk), start: func(i int) sim.Time { return disk[i].Start }, fill: func(i int, f []string) {
+		{n: len(disk), start: func(i int) sim.Time { return disk[i].Start }, fill: func(b []byte, i int) []byte {
 			s := disk[i]
-			f[0], f[1], f[2], f[3], f[4], f[5] = "disk", r.TrackName(s.Track), s.Phase.String(), ms(s.Start), ms(s.End), ""
+			b = append(head(b, "disk", s.Track), s.Phase.String()...)
+			return append(ms.appendTimes(b, s.Start, s.End), '\n')
 		}},
-		{n: len(cpu), start: func(i int) sim.Time { return cpu[i].Start }, fill: func(i int, f []string) {
+		{n: len(cpu), start: func(i int) sim.Time { return cpu[i].Start }, fill: func(b []byte, i int) []byte {
 			s := cpu[i]
-			val := ""
+			b = append(head(b, "cpu", CPUTrack), s.Kind.String()...)
+			b = ms.appendTimes(b, s.Start, s.End)
 			if s.Kind == CPUStall && s.Run >= 0 {
-				val = strconv.Itoa(s.Run)
+				b = strconv.AppendInt(b, int64(s.Run), 10)
 			}
-			f[0], f[1], f[2], f[3], f[4], f[5] = "cpu", r.TrackName(CPUTrack), s.Kind.String(), ms(s.Start), ms(s.End), val
+			return append(b, '\n')
 		}},
-		{n: len(prefetch), start: func(i int) sim.Time { return prefetch[i].Issued }, fill: func(i int, f []string) {
+		{n: len(prefetch), start: func(i int) sim.Time { return prefetch[i].Issued }, fill: func(b []byte, i int) []byte {
 			s := prefetch[i]
-			f[0], f[1], f[2], f[3], f[4], f[5] = "prefetch", r.TrackName(s.Track), "run "+strconv.Itoa(s.Run),
-				ms(s.Issued), ms(s.Done), strconv.Itoa(s.Blocks)
+			b = strconv.AppendInt(append(head(b, "prefetch", s.Track), "run "...), int64(s.Run), 10)
+			b = ms.appendTimes(b, s.Issued, s.Done)
+			return append(strconv.AppendInt(b, int64(s.Blocks), 10), '\n')
 		}},
-		{n: len(cache), start: func(i int) sim.Time { return cache[i].At }, fill: func(i int, f []string) {
+		{n: len(cache), start: func(i int) sim.Time { return cache[i].At }, fill: func(b []byte, i int) []byte {
 			s := cache[i]
-			at := ms(s.At)
-			f[0], f[1], f[2], f[3], f[4], f[5] = "cache", "cache", "occupancy", at, at, strconv.Itoa(s.Occupied)
+			b = ms.appendTimes(append(b, "cache,cache,occupancy"...), s.At, s.At)
+			return append(strconv.AppendInt(b, int64(s.Occupied), 10), '\n')
 		}},
-		{n: len(queue), start: func(i int) sim.Time { return queue[i].At }, fill: func(i int, f []string) {
+		{n: len(queue), start: func(i int) sim.Time { return queue[i].At }, fill: func(b []byte, i int) []byte {
 			s := queue[i]
-			at := ms(s.At)
-			f[0], f[1], f[2], f[3], f[4], f[5] = "queue", r.TrackName(s.Track), "depth", at, at, strconv.Itoa(s.Depth)
+			b = ms.appendTimes(append(head(b, "queue", s.Track), "depth"...), s.At, s.At)
+			return append(strconv.AppendInt(b, int64(s.Depth), 10), '\n')
 		}},
-		{n: len(marks), start: func(i int) sim.Time { return marks[i].At }, fill: func(i int, f []string) {
+		{n: len(marks), start: func(i int) sim.Time { return marks[i].At }, fill: func(b []byte, i int) []byte {
 			m := marks[i]
-			at := ms(m.At)
-			f[0], f[1], f[2], f[3], f[4], f[5] = "mark", r.TrackName(m.Track), m.Name, at, at, ""
+			b = appendCSVField(head(b, "mark", m.Track), m.Name)
+			return append(ms.appendTimes(b, m.At, m.At), '\n')
 		}},
 	}
 	for c := range srcs {
 		srcs[c].sortByStart()
 	}
 
-	cw := csv.NewWriter(w)
-	fields := []string{"kind", "track", "name", "start_ms", "end_ms", "value"}
-	if err := cw.Write(fields); err != nil {
-		return err
-	}
+	b := make([]byte, 0, csvFlushSize+csvFlushSize/4)
+	b = append(b, "kind,track,name,start_ms,end_ms,value\n"...)
 	// Merge the sources by start instant; the lowest category wins a
 	// tie, which reproduces a stable sort of all rows concatenated in
 	// category order.
-	rows := 0
-	var last sim.Time
+	var last sim.Time // start of the last row; 0 before any row
 	for {
 		c := -1
 		for i := range srcs {
@@ -91,33 +108,97 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 			break
 		}
 		s := &srcs[c]
-		s.fill(s.row(), fields)
-		if err := cw.Write(fields); err != nil {
-			return err
+		b = s.fill(b, s.row())
+		if len(b) >= csvFlushSize {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
 		}
-		rows++
 		last = s.head
 		s.advance()
 	}
 	if r.Truncated() {
-		at := "0"
-		if rows > 0 {
-			at = ms(last)
-		}
-		if err := cw.Write([]string{"mark", r.TrackName(CPUTrack), TruncatedMark, at, at, ""}); err != nil {
-			return err
+		b = append(head(b, "mark", CPUTrack), TruncatedMark...)
+		b = append(ms.appendTimes(b, last, last), '\n')
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// csvFlushSize is how many bytes of rows WriteCSV gathers before each
+// write to its io.Writer.
+const csvFlushSize = 64 << 10
+
+// msMemo formats row times, remembering the text of the last few it
+// formatted: a row's start is often the end of a row just before it.
+// Entries are keyed by bit pattern, so -0 and 0 stay apart.
+type msMemo struct {
+	bits [8]uint64
+	text [8][32]byte // the 'g' form of a float64 is at most 24 bytes
+	n    [8]uint8    // text length; 0 = empty entry
+	next int         // entry the next miss overwrites
+}
+
+// appendTimes appends ",start_ms,end_ms," to a row. A time is the
+// shortest 'g' form that parses back to the same float64.
+func (m *msMemo) appendTimes(b []byte, start, end sim.Time) []byte {
+	b = m.appendMs(append(b, ','), start)
+	return append(m.appendMs(append(b, ','), end), ',')
+}
+
+// appendMs appends one time.
+func (m *msMemo) appendMs(b []byte, t sim.Time) []byte {
+	x := math.Float64bits(float64(t))
+	for i := range m.bits {
+		if m.bits[i] == x && m.n[i] != 0 {
+			return append(b, m.text[i][:m.n[i]]...)
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	n := len(b)
+	b = strconv.AppendFloat(b, float64(t), 'g', -1, 64)
+	i := m.next
+	m.bits[i], m.n[i] = x, uint8(copy(m.text[i][:], b[n:]))
+	m.next = (i + 1) % len(m.bits)
+	return b
+}
+
+// appendCSVField appends s as one CSV field, quoted exactly when and
+// how encoding/csv's Writer quotes a field: when it holds a comma, a
+// quote, \r or \n, starts with a Unicode space, or is `\.`; inside
+// the quotes a quote doubles and everything else is verbatim.
+func appendCSVField(b []byte, s string) []byte {
+	if !csvNeedsQuotes(s) {
+		return append(b, s...)
+	}
+	b = append(b, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		b = append(append(b, s[:i+1]...), '"')
+		s = s[i+1:]
+	}
+	return append(append(b, s...), '"')
+}
+
+// csvNeedsQuotes is encoding/csv's Writer.fieldNeedsQuotes for the
+// comma separator.
+func csvNeedsQuotes(s string) bool {
+	if s == `\.` || strings.ContainsAny(s, ",\"\r\n") {
+		return true
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
 }
 
 // rowSource is one event category as a stream of CSV rows in start
 // order.
 type rowSource struct {
 	n     int
-	start func(i int) sim.Time    // start instant of record i
-	fill  func(i int, f []string) // writes record i's six fields
+	start func(i int) sim.Time         // start instant of record i
+	fill  func(b []byte, i int) []byte // appends record i's row
 	// order is the record indices stable-sorted by start; nil when the
 	// record order already is start order (every category but disk
 	// spans, whose tracks record ahead of each other, in practice).
