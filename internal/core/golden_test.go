@@ -2,8 +2,14 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/cache"
@@ -16,6 +22,8 @@ import (
 	"repro/internal/workload"
 )
 
+var update = flag.Bool("update", false, "rewrite the engine goldens under testdata/")
+
 // withEngineMode runs fn under the given mode and restores the default.
 func withEngineMode(t *testing.T, m EngineMode, fn func()) {
 	t.Helper()
@@ -24,10 +32,10 @@ func withEngineMode(t *testing.T, m EngineMode, fn func()) {
 	fn()
 }
 
-// abConfigs is the config matrix the event core is checked against the
-// process oracle on: every synchronization mode, placement, queue
-// discipline, rotational model, run policy, admission policy, writer
-// mode, fault flavour, and workload family the engine branches on.
+// abConfigs is the config matrix the engine's goldens are pinned on:
+// every synchronization mode, placement, queue discipline, rotational
+// model, run policy, admission policy, writer mode, fault flavour, and
+// workload family the engine branches on.
 func abConfigs() map[string]Config {
 	small := func() Config {
 		cfg := Default()
@@ -167,22 +175,59 @@ func abConfigs() map[string]Config {
 	return cfgs
 }
 
-// TestEngineModesByteIdentical runs the config matrix through the event
-// core and the legacy process engine and requires byte-equal ResultJSON
-// for every point: the two engines must be indistinguishable to any
-// consumer of results.
-func TestEngineModesByteIdentical(t *testing.T) {
-	for name, cfg := range abConfigs() {
+// checkGolden compares got with testdata/<name>, rewriting the file
+// first under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run go test -run %s -update to create it)", err, t.Name())
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output differs from %s:\n%s", path, firstLineDiff(got, want))
+	}
+}
+
+// firstLineDiff reports the first line where got and want disagree.
+func firstLineDiff(got, want []byte) string {
+	g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if !bytes.Equal(g[i], w[i]) {
+			return fmt.Sprintf("line %d:\ngot:  %s\nwant: %s", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
+}
+
+// engineModes lists the engines every golden is checked under. The
+// process engine produced the goldens; the event machine must match it.
+var engineModes = []EngineMode{EngineProcess, EngineEvent}
+
+// TestResultGoldens pins the indented ResultJSON of two trials of every
+// matrix config, byte for byte. Regenerate with -update only when a
+// result change is intended.
+func TestResultGoldens(t *testing.T) {
+	cfgs := abConfigs()
+	names := make([]string, 0, len(cfgs))
+	for name := range cfgs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			var eventJSON, procJSON []byte
-			withEngineMode(t, EngineEvent, func() {
-				eventJSON = resultBytes(t, cfg)
-			})
-			withEngineMode(t, EngineProcess, func() {
-				procJSON = resultBytes(t, cfg)
-			})
-			if !bytes.Equal(eventJSON, procJSON) {
-				t.Fatalf("engine modes diverge:\nevent:   %s\nprocess: %s", eventJSON, procJSON)
+			for _, m := range engineModes {
+				withEngineMode(t, m, func() {
+					checkGolden(t, filepath.Join("results", name+".json"), resultBytes(t, cfgs[name]))
+				})
 			}
 		})
 	}
@@ -194,18 +239,23 @@ func resultBytes(t *testing.T, cfg Config) []byte {
 	if err != nil {
 		t.Fatalf("RunTrials: %v", err)
 	}
-	b, err := json.Marshal(NewResultJSON(agg))
+	b, err := json.MarshalIndent(NewResultJSON(agg), "", "  ")
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	return b
+	return append(b, '\n')
 }
 
-// TestEngineModesTraceByteIdentical runs one traced, fault-injected,
-// writing merge under both engines and requires byte-equal Chrome and
-// CSV trace exports: the event machine must emit every span and
-// lifecycle mark at the instants the process engine does.
-func TestEngineModesTraceByteIdentical(t *testing.T) {
+// traceChromeSHA256 pins the Chrome export of TestTraceGolden's run. The
+// export is about twice the size of the CSV, so the test commits its
+// digest rather than the file.
+const traceChromeSHA256 = "471c6cf13538cf6ab1c98a5fbd237a2d4f04c656e89d288b2fa3e7d5b0f10b96"
+
+// TestTraceGolden pins one traced, fault-injected, writing merge: its
+// CSV export byte for byte against testdata/trace.csv and its Chrome
+// export by SHA-256. Together they fix every span and lifecycle mark
+// and the instant it lands at.
+func TestTraceGolden(t *testing.T) {
 	cfg := Default()
 	cfg.K, cfg.D, cfg.BlocksPerRun = 6, 3, 50
 	cfg.N = 3
@@ -217,37 +267,33 @@ func TestEngineModesTraceByteIdentical(t *testing.T) {
 	}}
 	cfg.CacheBlocks = cfg.DefaultCache()
 
-	export := func() (chrome, csv string) {
-		c := cfg
-		c.Trace = trace.New(0)
-		if _, err := Run(c); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		var cb, vb bytes.Buffer
-		if err := c.Trace.WriteChrome(&cb); err != nil {
-			t.Fatalf("WriteChrome: %v", err)
-		}
-		if err := c.Trace.WriteCSV(&vb); err != nil {
-			t.Fatalf("WriteCSV: %v", err)
-		}
-		return cb.String(), vb.String()
-	}
-
-	var eventChrome, eventCSV, procChrome, procCSV string
-	withEngineMode(t, EngineEvent, func() { eventChrome, eventCSV = export() })
-	withEngineMode(t, EngineProcess, func() { procChrome, procCSV = export() })
-	if eventChrome != procChrome {
-		t.Errorf("chrome exports diverge between engine modes")
-	}
-	if eventCSV != procCSV {
-		t.Errorf("csv exports diverge between engine modes")
+	for _, m := range engineModes {
+		withEngineMode(t, m, func() {
+			cfg.Trace = trace.New(0)
+			if _, err := Run(cfg); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			var chrome, csv bytes.Buffer
+			if err := cfg.Trace.WriteChrome(&chrome); err != nil {
+				t.Fatalf("WriteChrome: %v", err)
+			}
+			if err := cfg.Trace.WriteCSV(&csv); err != nil {
+				t.Fatalf("WriteCSV: %v", err)
+			}
+			checkGolden(t, "trace.csv", csv.Bytes())
+			sum := sha256.Sum256(chrome.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != traceChromeSHA256 {
+				t.Fatalf("Chrome export SHA-256 = %s, want %s (update traceChromeSHA256 if the change is intended)",
+					got, traceChromeSHA256)
+			}
+		})
 	}
 }
 
-// TestEngineModesRequestLogIdentical replays the dispatch-level request
-// observer under both engines; the streams must match record for
-// record, which pins queue arrival order and service decomposition.
-func TestEngineModesRequestLogIdentical(t *testing.T) {
+// TestRequestLogGolden pins the dispatch-level request observer's
+// stream, one %+v record per line, which fixes queue arrival order and
+// every request's service decomposition.
+func TestRequestLogGolden(t *testing.T) {
 	cfg := Default()
 	cfg.K, cfg.D, cfg.BlocksPerRun = 6, 3, 40
 	cfg.N = 3
@@ -255,27 +301,16 @@ func TestEngineModesRequestLogIdentical(t *testing.T) {
 	cfg.Write = WriteConfig{Enabled: true, Shared: true}
 	cfg.CacheBlocks = cfg.DefaultCache()
 
-	collect := func() []string {
-		var log []string
-		c := cfg
-		c.OnRequest = func(rt disk.RequestTrace) {
-			log = append(log, fmt.Sprintf("%+v", rt))
-		}
-		if _, err := Run(c); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return log
-	}
-
-	var eventLog, procLog []string
-	withEngineMode(t, EngineEvent, func() { eventLog = collect() })
-	withEngineMode(t, EngineProcess, func() { procLog = collect() })
-	if len(eventLog) != len(procLog) {
-		t.Fatalf("request counts diverge: event %d, process %d", len(eventLog), len(procLog))
-	}
-	for i := range eventLog {
-		if eventLog[i] != procLog[i] {
-			t.Fatalf("request %d diverges:\nevent:   %s\nprocess: %s", i, eventLog[i], procLog[i])
-		}
+	for _, m := range engineModes {
+		withEngineMode(t, m, func() {
+			var log bytes.Buffer
+			cfg.OnRequest = func(rt disk.RequestTrace) {
+				fmt.Fprintf(&log, "%+v\n", rt)
+			}
+			if _, err := Run(cfg); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			checkGolden(t, "requests.txt", log.Bytes())
+		})
 	}
 }

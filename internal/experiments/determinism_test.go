@@ -1,10 +1,40 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/quick.txt")
+
+// quickGolden is the serial render of the full quick experiment set
+// (one trial, seed 7): every figure CSV and table of every spec.
+var quickGolden = filepath.Join("testdata", "quick.txt")
+
+// checkQuickGolden compares a render of the quick experiment set with
+// quickGolden, rewriting the file first under -update.
+func checkQuickGolden(t *testing.T, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(quickGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(quickGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(quickGolden)
+	if err != nil {
+		t.Fatalf("%v (run go test -run TestParallelMatchesSerial -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("quick render differs from %s:\n%s", quickGolden, firstDiff(got, string(want)))
+	}
+}
 
 // render flattens every artifact of a full experiment run — figure CSVs
 // and table text, in spec order — into one byte stream for comparison.
@@ -28,12 +58,15 @@ func render(t *testing.T, outs []Output) string {
 }
 
 // TestParallelMatchesSerial is the determinism contract: the full quick
-// experiment set, run once serially (the reference) and once through the
-// parallel executor with more workers than cores, must render
-// byte-identical figure CSVs and tables. Seeds derive from point and
-// trial indices, never from worker identity, and results are collected
-// by index — so any divergence here means a scheduling-dependent code
-// path leaked into the simulation.
+// experiment set, run once serially and once through the parallel
+// executor with more workers than cores, must render byte-identical
+// figure CSVs and tables, and the serial render must equal the
+// committed testdata/quick.txt. Seeds derive from point and trial
+// indices, never from worker identity, and results are collected by
+// index — so any divergence between the runs means a
+// scheduling-dependent code path leaked into the simulation, and any
+// divergence from the golden is a change in what the figures say.
+// Regenerate the golden with -update only when that change is intended.
 func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick figure set twice")
@@ -48,6 +81,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, got := render(t, serial), render(t, par)
+	checkQuickGolden(t, want)
 	if want != got {
 		t.Fatalf("parallel output diverged from serial reference:\nserial:\n%s\nparallel:\n%s",
 			firstDiff(want, got), firstDiff(got, want))

@@ -6,29 +6,18 @@ import (
 	"repro/internal/core"
 )
 
-// TestEngineModesRenderIdentical is the figure-level half of the
-// event-core equivalence contract (the config-matrix half lives in
-// internal/core): the full quick figure set, rendered once through the
-// event-driven engine and once through the legacy process engine, must
-// produce byte-identical CSVs and tables. The event core is an
-// optimization, never a model change.
+// TestEngineModesRenderIdentical renders the quick figure set through
+// the process engine and requires the committed golden that
+// TestParallelMatchesSerial checks the event machine against.
 func TestEngineModesRenderIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full quick figure set under both engine modes")
+		t.Skip("runs the full quick figure set under the process engine")
 	}
-	specs := All()
-	run := func(m core.EngineMode) string {
-		core.SetEngineMode(m)
-		defer core.SetEngineMode(core.EngineEvent)
-		outs, err := RunAll(specs, Options{Trials: 1, Seed: 7, Quick: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return render(t, outs)
+	core.SetEngineMode(core.EngineProcess)
+	defer core.SetEngineMode(core.EngineEvent)
+	outs, err := RunAll(All(), Options{Trials: 1, Seed: 7, Quick: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	event := run(core.EngineEvent)
-	proc := run(core.EngineProcess)
-	if event != proc {
-		t.Fatalf("figure output diverged between engine modes:\n%s", firstDiff(event, proc))
-	}
+	checkQuickGolden(t, render(t, outs))
 }
