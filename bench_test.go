@@ -150,8 +150,8 @@ func BenchmarkKernelEvents(b *testing.B) {
 // BenchmarkKernelEventsTraced is the zero-overhead guard for the
 // tracing subsystem: the same event loop as BenchmarkKernelEvents with
 // a trace.Recorder installed on the kernel. Timer-event dispatch has no
-// tracer hook — recording happens at process boundaries and in the
-// model layer (disk, engine, cache) — so this must match
+// tracer hook — recording happens at the merge's lifecycle marks and in
+// the model layer (disk, engine, cache) — so this must match
 // BenchmarkKernelEvents within noise.
 func BenchmarkKernelEventsTraced(b *testing.B) {
 	k := sim.New()
@@ -257,22 +257,9 @@ func BenchmarkTraceReadCSV(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rec.Len()), "ns/event")
 }
 
-// BenchmarkKernelProcessSwitch measures the process handoff cost.
-func BenchmarkKernelProcessSwitch(b *testing.B) {
-	k := sim.New()
-	k.Spawn("p", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1)
-		}
-	})
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkDiskRequest measures single-block request service overhead
-// on the event-mode path: one pooled Request is resubmitted from its
-// own OnBlock in a closed loop, the way the event engine drives disks.
+// BenchmarkDiskRequest measures single-block request service overhead:
+// one pooled Request is resubmitted from its own OnBlock in a closed
+// loop, the way the merge engine drives disks.
 // Steady state must be zero-alloc (CI fails the build otherwise).
 func BenchmarkDiskRequest(b *testing.B) {
 	k := sim.New()
@@ -292,41 +279,6 @@ func BenchmarkDiskRequest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	d.SubmitNoWait(&req)
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkDiskRequestShim is the same closed loop through the
-// process-shim Submit path, which allocates two completion latches per
-// request. The gap against BenchmarkDiskRequest is the per-request cost
-// the event core removed.
-func BenchmarkDiskRequestShim(b *testing.B) {
-	k := sim.New()
-	d, err := disk.New(k, 0, disk.PaperParams(), rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := 0
-	// Two requests alternate: a Submit-path request's completion latches
-	// are live until its last block delivers, so the one in flight cannot
-	// be resubmitted from its own OnBlock the way the no-wait request is.
-	var reqs [2]disk.Request
-	onBlock := func(i int, at sim.Time) {
-		n++
-		if n < b.N {
-			next := &reqs[n%2]
-			next.Start = (n * 37) % 1000
-			d.Submit(next)
-		}
-	}
-	for j := range reqs {
-		reqs[j].Count = 1
-		reqs[j].OnBlock = onBlock
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	d.Submit(&reqs[0])
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-// TestEventEngineSteadyStateZeroAlloc pins the event-mode merge engine
+// TestEventEngineSteadyStateZeroAlloc pins the event-driven merge engine
 // at zero allocations per simulated time slice once warmed: block
 // requests, cache waits, wakeups, and prefetch planning must all run on
 // the engine's pooled wrappers and reused planning buffers. The runs
@@ -54,6 +54,6 @@ func TestEventEngineSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal("no blocks merged during measurement; the slices are too short")
 	}
 	if avg != 0 {
-		t.Errorf("event-mode engine steady state allocates %.2f allocs/op, want 0", avg)
+		t.Errorf("engine steady state allocates %.2f allocs/op, want 0", avg)
 	}
 }

@@ -112,9 +112,7 @@ type Config struct {
 	// MaxSimTime aborts the simulation once the virtual clock passes
 	// this horizon (zero = unlimited). Run returns the partial result
 	// with TimedOut set — a guard for sweeps that may hit pathological
-	// configurations. Note: a timed-out run abandons its parked merge
-	// goroutine (a few KB each); guard rare outliers with it rather
-	// than timing out by design in tight loops.
+	// configurations.
 	MaxSimTime sim.Time
 
 	Disk      disk.Params
@@ -152,9 +150,6 @@ type Config struct {
 
 	Seed uint64
 
-	// Tracer, if non-nil, observes the simulation.
-	Tracer sim.Tracer
-
 	// Trace, if non-nil, records an execution timeline into the given
 	// recorder: per-disk seek/rotation/retry/transfer spans, CPU
 	// compute/stall intervals, prefetch issue→complete spans and
@@ -162,7 +157,7 @@ type Config struct {
 	// internal/trace). Observation only — a traced run produces the
 	// exact result of an untraced one, and the field is excluded from
 	// the canonical encoding, so traced and untraced configs share a
-	// Hash. Like Tracer, it forces RunTrials/RunGrid serial.
+	// Hash. It forces RunTrials/RunGrid serial.
 	Trace *trace.Recorder
 
 	// RecordTimeline captures per-disk busy intervals into
@@ -170,7 +165,7 @@ type Config struct {
 	RecordTimeline bool
 
 	// OnRequest, if non-nil, observes every disk request at dispatch
-	// (input and output disks alike). Like Tracer, it forces RunTrials
+	// (input and output disks alike). Like Trace, it forces RunTrials
 	// to run serially.
 	OnRequest func(disk.RequestTrace)
 }
@@ -294,5 +289,5 @@ func (c Config) Validate() error {
 	if need, have := lay.MaxBlocksOnDisk(), c.Disk.CapacityBlocks(); need > have {
 		return fmt.Errorf("core: layout needs %d blocks on a disk, geometry holds %d", need, have)
 	}
-	return c.Write.validate(c)
+	return c.Write.validate(c, lay)
 }

@@ -39,11 +39,7 @@ type engine struct {
 	active     []int
 	activePos  []int
 
-	// runArrival[r] is broadcast whenever a block of run r is deposited
-	// (process engine only; the event machine watches arrivals directly).
-	runArrival []*sim.Signal
-
-	// m is the event-mode merge state machine (nil under EngineProcess).
+	// m is the merge state machine that drives the run.
 	m *machine
 
 	// Reusable planning buffers: one I/O decision is made per demand
@@ -56,8 +52,8 @@ type engine struct {
 	inSet    []bool
 	extBuf   []layout.Extent
 
-	// Pooled in-flight request wrappers for the event-mode zero-alloc
-	// submit paths (see machine.go).
+	// Pooled in-flight request wrappers for the zero-alloc submit paths
+	// (see machine.go).
 	fetchFree []*fetchWrap
 	writeFree []*writeWrap
 
@@ -96,12 +92,8 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if CurrentEngineMode() == EngineProcess {
-		e.k.Spawn("cpu", e.cpu)
-	} else {
-		e.m = newMachine(e)
-		e.m.start()
-	}
+	e.m = newMachine(e)
+	e.m.start()
 	if cfg.MaxSimTime > 0 {
 		if err := e.k.RunUntil(cfg.MaxSimTime); err != nil {
 			return Result{}, e.runError(err)
@@ -136,8 +128,9 @@ func (e *engine) runError(err error) error {
 // RunTrials simulates trials independent replications (seeds Seed,
 // Seed+1, ...) and aggregates them: a single-point RunGrid on the
 // default worker pool. Replications run on parallel goroutines when no
-// Tracer or request observer is installed; results are aggregated in
-// trial order, so the outcome is identical to a serial run.
+// trace recorder or request observer is installed; results are
+// aggregated in trial order, so the outcome is identical to a serial
+// run.
 func RunTrials(cfg Config, trials int) (Aggregate, error) {
 	aggs, err := RunGrid([]Config{cfg}, trials, 0)
 	if err != nil {
@@ -148,11 +141,9 @@ func RunTrials(cfg Config, trials int) (Aggregate, error) {
 
 func newEngine(cfg Config) (*engine, error) {
 	k := sim.New()
-	if cfg.Tracer != nil {
-		k.SetTracer(cfg.Tracer)
-	} else if cfg.Trace != nil {
-		// The recorder doubles as the kernel tracer so process lifecycle
-		// events land as marks on the CPU track.
+	if cfg.Trace != nil {
+		// The recorder doubles as the kernel tracer so the merge's
+		// lifecycle events land as marks on the CPU track.
 		k.SetTracer(cfg.Trace)
 	}
 	lay, err := layout.NewLengths(cfg.Placement, cfg.runLengths(), cfg.D)
@@ -176,7 +167,6 @@ func newEngine(cfg Config) (*engine, error) {
 		consumedOf: make([]int, cfg.K),
 		active:     make([]int, cfg.K),
 		activePos:  make([]int, cfg.K),
-		runArrival: make([]*sim.Signal, cfg.K),
 		nominees:   make([]piece, 0, cfg.D+1),
 		batchBuf:   make([]piece, 0, cfg.D+1),
 		eligible:   make([]int, 0, cfg.K),
@@ -200,7 +190,6 @@ func newEngine(cfg Config) (*engine, error) {
 	for r := 0; r < cfg.K; r++ {
 		e.active[r] = r
 		e.activePos[r] = r
-		e.runArrival[r] = k.NewSignal()
 	}
 	var inj *faults.Injector
 	if cfg.Faults != nil {
@@ -290,65 +279,6 @@ func (e *engine) deactivate(r int) {
 	e.activePos[r] = -1
 }
 
-// cpu is the merge process: the paper's simulation loop.
-func (e *engine) cpu(p *sim.Proc) {
-	e.initialLoad(p)
-	total := e.cfg.TotalBlocks()
-	for merged := int64(0); merged < total; merged++ {
-		j := e.model.Choose(e.active)
-
-		// The invariant of the paper's loop is that every active run has
-		// its leading block cached; replayed or skewed workloads can
-		// break it, so wait defensively.
-		if e.cache.Available(j) == 0 {
-			e.fetchAndWait(p, j)
-		}
-
-		e.cache.Consume(j)
-		e.consumedOf[j]++
-		if e.consumedOf[j] == e.lay.RunLength(j) {
-			e.deactivate(j)
-		} else if e.cache.Available(j) == 0 {
-			// The run's cached blocks are exhausted: the next block is
-			// the demand-fetch block (paper §2). Fetch and wait per the
-			// configured synchronization before merging proceeds.
-			e.fetchAndWait(p, j)
-		}
-
-		if e.cfg.MergeTimePerBlock > 0 {
-			t0 := p.Now()
-			p.Sleep(e.cfg.MergeTimePerBlock)
-			e.cfg.Trace.CPUSpan(trace.CPUCompute, t0, p.Now())
-		}
-		if e.writer != nil {
-			e.writer.produce(p)
-		}
-	}
-	if e.writer != nil {
-		e.writer.drain(p)
-	}
-	e.finish = p.Now()
-}
-
-// fetchAndWait brings run j's next block into the cache: issues a fetch
-// if one is not already in flight, then waits per the synchronization
-// mode (whole batch when synchronized, demand block only otherwise).
-func (e *engine) fetchAndWait(p *sim.Proc, j int) {
-	start := p.Now()
-	var batch []*sim.Completion
-	if e.nextFetch[j] <= e.cache.NextToConsume(j) {
-		batch = e.issueFetch(j)
-	}
-	if e.cfg.Synchronized {
-		p.AwaitAll(batch...)
-	}
-	p.WaitFor(e.runArrival[j], func() bool { return e.cache.Available(j) > 0 })
-	stall := p.Now() - start
-	e.stallTime += stall
-	e.stallHist.Add(stall.Milliseconds())
-	e.cfg.Trace.CPUStallOn(j, start, p.Now())
-}
-
 // piece is one run's share of a fetch batch.
 type piece struct {
 	run int
@@ -359,8 +289,7 @@ type piece struct {
 // piece per disk (inter-run mode), sizes the batch against the cache's
 // admission policy, and returns the trimmed batch. The result aliases
 // the engine's reusable planning buffers and is valid until the next
-// call. Both engine modes share it, so a decision is bit-for-bit the
-// same under either.
+// call.
 func (e *engine) planFetch(j int) []piece {
 	e.decisions++
 	depth := e.curN
@@ -427,44 +356,6 @@ func (e *engine) planFetch(j int) []piece {
 		}
 	}
 	return batch
-}
-
-// issueFetch plans and submits the batch for demand run j on the
-// process engine's completion-latch path. It returns the Done
-// completions of all submitted requests.
-func (e *engine) issueFetch(j int) []*sim.Completion {
-	var completions []*sim.Completion
-	for _, pc := range e.planFetch(j) {
-		if !e.cache.Reserve(pc.n) {
-			// Unreachable by construction: admission just checked space,
-			// and the merge loop freed the demand block's slot first.
-			panic("core: reservation failed after admission")
-		}
-		run := pc.run
-		from := e.nextFetch[run]
-		e.nextFetch[run] += pc.n
-		e.inflight[run] += pc.n
-		issued := e.k.Now()
-		for _, ext := range e.lay.Extents(run, from, pc.n) {
-			ext := ext
-			req := &disk.Request{
-				Start: ext.Start,
-				Count: ext.Count,
-				Tag:   run,
-				OnBlock: func(i int, at sim.Time) {
-					e.cache.Deposit(run, ext.BlockIndex(i))
-					e.inflight[run]--
-					e.runArrival[run].Broadcast()
-					if i == ext.Count-1 {
-						e.cfg.Trace.Prefetch(trace.CPUTrack+1+ext.Disk, run, ext.Count, issued, at)
-					}
-				},
-			}
-			e.disks[ext.Disk].Submit(req)
-			completions = append(completions, req.Done)
-		}
-	}
-	return completions
 }
 
 // homeDiskOf returns the disk that serves run r's demand fetch: its
@@ -541,48 +432,6 @@ func (e *engine) choosePrefetchRun(d int) int {
 	default:
 		panic("core: unknown prefetch run policy")
 	}
-}
-
-// initialLoad fills the cache with the first blocks of every run — N
-// per run when the cache allows, at least one — and waits for all of
-// them, as in the paper's initial state.
-func (e *engine) initialLoad(p *sim.Proc) {
-	base := min(e.cfg.N, e.cfg.CacheBlocks/e.cfg.K)
-	if base < 1 {
-		base = 1
-	}
-	var completions []*sim.Completion
-	for r := 0; r < e.cfg.K; r++ {
-		per := min(base, e.lay.RunLength(r))
-		if !e.cache.Reserve(per) {
-			panic("core: initial load exceeds cache")
-		}
-		e.nextFetch[r] = per
-		e.inflight[r] = per
-		run := r
-		issued := p.Now()
-		for _, ext := range e.lay.Extents(r, 0, per) {
-			ext := ext
-			req := &disk.Request{
-				Start: ext.Start,
-				Count: ext.Count,
-				Tag:   run,
-				OnBlock: func(i int, at sim.Time) {
-					e.cache.Deposit(run, ext.BlockIndex(i))
-					e.inflight[run]--
-					e.runArrival[run].Broadcast()
-					if i == ext.Count-1 {
-						e.cfg.Trace.Prefetch(trace.CPUTrack+1+ext.Disk, run, ext.Count, issued, at)
-					}
-				},
-			}
-			e.disks[ext.Disk].Submit(req)
-			completions = append(completions, req.Done)
-		}
-	}
-	start := p.Now()
-	p.AwaitAll(completions...)
-	e.cfg.Trace.CPUSpan(trace.CPUStall, start, p.Now())
 }
 
 func (e *engine) result() Result {

@@ -24,14 +24,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the engine goldens under testdata/")
 
-// withEngineMode runs fn under the given mode and restores the default.
-func withEngineMode(t *testing.T, m EngineMode, fn func()) {
-	t.Helper()
-	SetEngineMode(m)
-	defer SetEngineMode(EngineEvent)
-	fn()
-}
-
 // abConfigs is the config matrix the engine's goldens are pinned on:
 // every synchronization mode, placement, queue discipline, rotational
 // model, run policy, admission policy, writer mode, fault flavour, and
@@ -208,10 +200,6 @@ func firstLineDiff(got, want []byte) string {
 	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
 }
 
-// engineModes lists the engines every golden is checked under. The
-// process engine produced the goldens; the event machine must match it.
-var engineModes = []EngineMode{EngineProcess, EngineEvent}
-
 // TestResultGoldens pins the indented ResultJSON of two trials of every
 // matrix config, byte for byte. Regenerate with -update only when a
 // result change is intended.
@@ -224,11 +212,7 @@ func TestResultGoldens(t *testing.T) {
 	sort.Strings(names)
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			for _, m := range engineModes {
-				withEngineMode(t, m, func() {
-					checkGolden(t, filepath.Join("results", name+".json"), resultBytes(t, cfgs[name]))
-				})
-			}
+			checkGolden(t, filepath.Join("results", name+".json"), resultBytes(t, cfgs[name]))
 		})
 	}
 }
@@ -267,26 +251,22 @@ func TestTraceGolden(t *testing.T) {
 	}}
 	cfg.CacheBlocks = cfg.DefaultCache()
 
-	for _, m := range engineModes {
-		withEngineMode(t, m, func() {
-			cfg.Trace = trace.New(0)
-			if _, err := Run(cfg); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			var chrome, csv bytes.Buffer
-			if err := cfg.Trace.WriteChrome(&chrome); err != nil {
-				t.Fatalf("WriteChrome: %v", err)
-			}
-			if err := cfg.Trace.WriteCSV(&csv); err != nil {
-				t.Fatalf("WriteCSV: %v", err)
-			}
-			checkGolden(t, "trace.csv", csv.Bytes())
-			sum := sha256.Sum256(chrome.Bytes())
-			if got := hex.EncodeToString(sum[:]); got != traceChromeSHA256 {
-				t.Fatalf("Chrome export SHA-256 = %s, want %s (update traceChromeSHA256 if the change is intended)",
-					got, traceChromeSHA256)
-			}
-		})
+	cfg.Trace = trace.New(0)
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var chrome, csv bytes.Buffer
+	if err := cfg.Trace.WriteChrome(&chrome); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
+	}
+	if err := cfg.Trace.WriteCSV(&csv); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	checkGolden(t, "trace.csv", csv.Bytes())
+	sum := sha256.Sum256(chrome.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != traceChromeSHA256 {
+		t.Fatalf("Chrome export SHA-256 = %s, want %s (update traceChromeSHA256 if the change is intended)",
+			got, traceChromeSHA256)
 	}
 }
 
@@ -301,16 +281,12 @@ func TestRequestLogGolden(t *testing.T) {
 	cfg.Write = WriteConfig{Enabled: true, Shared: true}
 	cfg.CacheBlocks = cfg.DefaultCache()
 
-	for _, m := range engineModes {
-		withEngineMode(t, m, func() {
-			var log bytes.Buffer
-			cfg.OnRequest = func(rt disk.RequestTrace) {
-				fmt.Fprintf(&log, "%+v\n", rt)
-			}
-			if _, err := Run(cfg); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			checkGolden(t, "requests.txt", log.Bytes())
-		})
+	var log bytes.Buffer
+	cfg.OnRequest = func(rt disk.RequestTrace) {
+		fmt.Fprintf(&log, "%+v\n", rt)
 	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	checkGolden(t, "requests.txt", log.Bytes())
 }

@@ -17,9 +17,9 @@ import (
 // Determinism: each job's seed derives from its configuration and trial
 // index alone, and results are aggregated in (point, trial) order, so
 // the outcome is byte-identical to a serial sweep regardless of worker
-// count. Configurations carrying a Tracer, a Trace recorder, or an
-// OnRequest observer force the whole grid serial: those callbacks and
-// the recorder are not synchronized.
+// count. Configurations carrying a Trace recorder or an OnRequest
+// observer force the whole grid serial: the recorder and the callback
+// are not synchronized.
 func RunGrid(cfgs []Config, trials, workers int) ([]Aggregate, error) {
 	return RunGridContext(context.Background(), cfgs, trials, workers)
 }
@@ -39,7 +39,7 @@ func RunGridContext(ctx context.Context, cfgs []Config, trials, workers int) ([]
 				"core: config %d: Workload is a stateful model and cannot be shared across %d trials; set WorkloadFactory instead",
 				i, trials)
 		}
-		if cfg.Tracer != nil || cfg.Trace != nil || cfg.OnRequest != nil {
+		if cfg.Trace != nil || cfg.OnRequest != nil {
 			workers = 1
 		}
 	}

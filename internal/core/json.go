@@ -196,8 +196,6 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 		return nil, fmt.Errorf("core: config with a caller-supplied Workload has no canonical encoding")
 	case c.WorkloadFactory != nil:
 		return nil, fmt.Errorf("core: config with a WorkloadFactory has no canonical encoding")
-	case c.Tracer != nil:
-		return nil, fmt.Errorf("core: config with a Tracer has no canonical encoding")
 	case c.OnRequest != nil:
 		return nil, fmt.Errorf("core: config with an OnRequest observer has no canonical encoding")
 	}

@@ -1,43 +1,11 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"repro/internal/disk"
 	"repro/internal/layout"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// EngineMode selects how core.Run drives a simulated merge.
-type EngineMode int32
-
-const (
-	// EngineEvent (the default) runs the merge as an explicit state
-	// machine dispatched directly on the event calendar: a block request
-	// is a handful of heap events, with no goroutine parking and no
-	// steady-state allocation.
-	EngineEvent EngineMode = iota
-	// EngineProcess is the original process-oriented engine — one
-	// goroutine interleaved with the kernel through sim.Proc — kept as
-	// the readable reference implementation and as the oracle the A/B
-	// byte-identity tests compare the event core against.
-	EngineProcess
-)
-
-// engineMode is process-global rather than a Config field on purpose:
-// the two engines are bit-for-bit equivalent, so the mode is an
-// execution detail that must not enter the canonical config encoding
-// (it would change every cache key for no observable difference).
-var engineMode atomic.Int32
-
-// SetEngineMode selects the engine for subsequent core.Run calls. It
-// must not be toggled while runs are in flight; grid workers read it
-// once per run.
-func SetEngineMode(m EngineMode) { engineMode.Store(int32(m)) }
-
-// CurrentEngineMode returns the mode SetEngineMode last selected.
-func CurrentEngineMode() EngineMode { return EngineMode(engineMode.Load()) }
 
 // mstate is the merge machine's wait point: which resumption the next
 // step call performs.
@@ -53,16 +21,18 @@ const (
 	msDone
 )
 
-// machine is the event-driven merge engine: the same control flow as
-// engine.cpu, but with every park point reified as a state so the merge
-// advances by plain event dispatch instead of goroutine handoffs.
+// machine is the merge engine: the paper's merge loop with every wait
+// point reified as a state, so the merge advances by plain event
+// dispatch.
 //
-// Equivalence with the process engine is exact, not approximate. Every
-// place the process engine parks and is woken through an After(0) hop
-// (Completion.Complete, Signal.Broadcast, Sleep), the machine schedules
-// its step function at the same position inside the same event, so
-// same-instant event ordering — and with it every RNG draw and cache
-// decision — is identical. The A/B tests assert byte-equal results.
+// Ordering rule: the machine never resumes inline. Whatever ends a wait
+// schedules step as a new event — a block landing, a batch completing
+// or a write freeing a buffer slot does so with After(0) inside the
+// waking event, and the merge compute time with After(MergeTimePerBlock)
+// — so a resumption runs after every event already pending at its
+// instant. Same-instant event order, and with it every RNG draw and
+// cache decision, is a fixed function of the config; the goldens under
+// testdata/ pin it byte for byte.
 type machine struct {
 	e *engine
 
@@ -78,14 +48,13 @@ type machine struct {
 	j int
 
 	// awaitLeft counts outstanding awaited requests (synchronized
-	// batches and the initial load); the step runs when it reaches zero,
-	// mirroring Proc.AwaitAll.
+	// batches and the initial load); the step is scheduled when it
+	// reaches zero.
 	awaitLeft int
 
 	// watchRun is the run whose next arrival wakes the machine, or -1.
-	// Mirrors parking on runArrival[j] with Signal.Wait: the notifier
-	// clears it and schedules a same-instant step, which re-checks the
-	// condition and may re-register.
+	// The notifier clears it and schedules a same-instant step, which
+	// re-checks the condition and may re-register.
 	watchRun int
 
 	// watchBuffer marks the machine parked on the writer (a freed
@@ -103,10 +72,9 @@ func newMachine(e *engine) *machine {
 	return m
 }
 
-// start schedules the machine's first event, mirroring Spawn: liveness
-// is retained immediately, the body starts after already-pending
-// same-instant events, and the tracer sees the same lifecycle marks the
-// process engine emits.
+// start retains the machine's liveness and schedules its first event,
+// which runs after any events already pending at time zero: it emits
+// the proc-start lifecycle mark and issues the initial load.
 func (m *machine) start() {
 	e := m.e
 	e.k.Retain()
@@ -227,10 +195,10 @@ func (m *machine) resumeAfterMerge() {
 	m.advance()
 }
 
-// beginFetch starts the fetch wait for demand run m.j (the event-mode
-// fetchAndWait): issue a fetch unless one is already in flight, await
-// the whole batch when synchronized, then wait for the leading block.
-// It reports whether the wait completed inline.
+// beginFetch starts the fetch wait for demand run m.j: issue a fetch
+// unless one is already in flight, await the whole batch when
+// synchronized, then wait for the leading block. It reports whether the
+// wait completed inline.
 func (m *machine) beginFetch(st mstate) bool {
 	e := m.e
 	m.state = st
@@ -295,8 +263,7 @@ func (m *machine) postMerge() bool {
 }
 
 // produce hands the merged block to the write-behind writer, parking
-// while the buffer is full (the event-mode writer.produce). Callers
-// guard on e.writer != nil.
+// while the buffer is full. Callers guard on e.writer != nil.
 func (m *machine) produce() bool {
 	e := m.e
 	m.state = msProduceWait
@@ -330,7 +297,8 @@ func (m *machine) finishProduce() {
 }
 
 // flush submits a write of n buffered blocks to the next round-robin
-// target on the pooled no-wait path (the event-mode writer.flush).
+// target on the pooled request path. Buffer slots free as individual
+// blocks land on the platter.
 func (m *machine) flush(n int) {
 	e := m.e
 	w := e.writer
@@ -372,8 +340,8 @@ func (m *machine) drainCheck() {
 	m.finish()
 }
 
-// finish records the merge's completion instant and releases the
-// machine's liveness hold, mirroring the process body returning.
+// finish records the merge's completion instant, emits the proc-end
+// lifecycle mark and releases the machine's liveness hold.
 func (m *machine) finish() {
 	e := m.e
 	e.finish = e.k.Now()
@@ -384,10 +352,9 @@ func (m *machine) finish() {
 	e.k.Release()
 }
 
-// noteArrival observes every deposited block (the event-mode
-// runArrival broadcast): when the machine is parked on that run's
-// arrival it schedules a same-instant step, which re-checks the
-// arrival condition exactly like a Signal waiter re-checking WaitFor.
+// noteArrival observes every deposited block: when the machine is
+// parked on that run's arrival it schedules a same-instant step, which
+// re-checks the arrival condition.
 func (m *machine) noteArrival(run int) {
 	if m.watchRun == run {
 		m.watchRun = -1
@@ -396,8 +363,8 @@ func (m *machine) noteArrival(run int) {
 }
 
 // noteBatchDone observes an awaited request's last block landing; the
-// machine proceeds when the whole batch is in, exactly where AwaitAll
-// would have scheduled the process's final wake.
+// machine proceeds, one same-instant step later, when the whole batch
+// is in.
 func (m *machine) noteBatchDone() {
 	m.awaitLeft--
 	if m.awaitLeft == 0 {
@@ -405,8 +372,7 @@ func (m *machine) noteBatchDone() {
 	}
 }
 
-// noteWriteSlot observes a written block freeing a buffer slot (the
-// event-mode bufferFree broadcast).
+// noteWriteSlot observes a written block freeing a buffer slot.
 func (m *machine) noteWriteSlot() {
 	if m.watchBuffer {
 		m.watchBuffer = false
@@ -426,10 +392,10 @@ type fetchWrap struct {
 	awaited bool
 }
 
-// onBlock is the delivery callback, field for field the same sequence
-// as the process engine's closure: deposit, in-flight accounting,
-// arrival wake, completion span — then batch accounting where
-// Done.Complete would have run.
+// onBlock is the delivery callback: deposit, in-flight accounting and
+// arrival wake, then on the last block the prefetch span and batch
+// accounting. The order is part of the pinned behaviour: an arrival
+// wake is scheduled before the batch wake of the same block.
 func (w *fetchWrap) onBlock(i int, at sim.Time) {
 	e := w.e
 	e.cache.Deposit(w.run, w.ext.BlockIndex(i))
@@ -488,7 +454,7 @@ func (e *engine) getWriteWrap() *writeWrap {
 }
 
 // submitRun submits the fetch of run r's blocks [from, from+n) as
-// per-disk pooled no-wait requests and returns how many requests were
+// per-disk pooled requests and returns how many requests were
 // submitted. Contiguous placements take a single-extent fast path;
 // striped runs decompose through the layout.
 func (e *engine) submitRun(run, from, n int, awaited bool) int {
@@ -512,8 +478,7 @@ func (e *engine) submitRun(run, from, n int, awaited bool) int {
 }
 
 // submitBatch reserves cache space for and submits a planned batch,
-// returning the number of disk requests submitted (the event-mode
-// issueFetch submission loop).
+// returning the number of disk requests submitted.
 func (e *engine) submitBatch(batch []piece, awaited bool) int {
 	count := 0
 	for _, pc := range batch {

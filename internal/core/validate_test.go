@@ -38,6 +38,22 @@ func TestValidateRejectsInvalidConfigs(t *testing.T) {
 			c.Write.BatchBlocks = 8
 			c.Write.BufferBlocks = 4
 		}, "write buffer 4 smaller than batch 8"},
+		// Output regions follow the real placement and batch schedule:
+		// 51199 input blocks + a 40000-block batch + the 22398-block tail.
+		{"shared write batch and tail overflow", func(c *Config) { *c = sharedBatchConfig(51199, 40000) },
+			"shared write traffic needs 113597 blocks on disk 0, geometry holds 102400"},
+		{"shared write one block over", func(c *Config) { *c = sharedBatchConfig(51199, 51196) },
+			"needs 102401 blocks on disk 0"},
+		// 48 clustered input blocks + 26 of the 52 one-block writes.
+		{"shared write clustered unequal runs", func(c *Config) { *c = clusteredSharedConfig(24) },
+			"needs 74 blocks on disk 0, geometry holds 64"},
+		{"shared write clustered one block over", func(c *Config) { *c = clusteredSharedConfig(18) },
+			"needs 65 blocks on disk 0"},
+		{"separate write disk overflow", func(c *Config) {
+			c.K, c.D, c.N, c.BlocksPerRun = 2, 2, 1, 60000
+			c.CacheBlocks = c.DefaultCache()
+			c.Write = WriteConfig{Enabled: true, Disks: 1}
+		}, "write traffic needs 120000 blocks on write disk 0"},
 		{"fault on nonexistent disk", func(c *Config) {
 			c.Faults = &faults.Spec{Disks: []faults.DiskSpec{{Disk: 5, Slowdown: 2}}}
 		}, "faults: spec 0 targets disk 5, want [0, D=5)"},

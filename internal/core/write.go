@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/disk"
+	"repro/internal/layout"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -65,8 +66,9 @@ func (w WriteConfig) targets(c Config) int {
 	return w.Disks
 }
 
-// validate reports the first write-config error, or nil.
-func (w WriteConfig) validate(c Config) error {
+// validate reports the first write-config error, or nil. lay is the
+// config's input layout.
+func (w WriteConfig) validate(c Config, lay *layout.Layout) error {
 	if !w.Enabled {
 		return nil
 	}
@@ -74,30 +76,58 @@ func (w WriteConfig) validate(c Config) error {
 	if ww.BufferBlocks < ww.BatchBlocks {
 		return fmt.Errorf("core: write buffer %d smaller than batch %d", ww.BufferBlocks, ww.BatchBlocks)
 	}
-	if !w.Shared {
-		return nil
-	}
-	// Shared mode appends output after the input runs; the geometry
-	// must hold both.
-	lengths := c.runLengths()
-	perDisk := make([]int, c.D)
-	for r, n := range lengths {
-		perDisk[r%c.D] += n // approximation of round-robin packing
-	}
-	out := int(c.TotalBlocks())/c.D + 1
-	for _, used := range perDisk {
-		if used+out > c.Disk.CapacityBlocks() {
-			return fmt.Errorf("core: shared write traffic needs %d blocks on a disk, geometry holds %d",
-				used+out, c.Disk.CapacityBlocks())
+	start, blocks := ww.regions(lay, c.TotalBlocks())
+	for t := range start {
+		if need, have := start[t]+blocks[t], c.Disk.CapacityBlocks(); need > have {
+			if ww.Shared {
+				return fmt.Errorf("core: shared write traffic needs %d blocks on disk %d, geometry holds %d", need, t, have)
+			}
+			return fmt.Errorf("core: write traffic needs %d blocks on write disk %d, geometry holds %d", need, t, have)
 		}
 	}
 	return nil
 }
 
+// regions returns, for each output target of a defaults-resolved
+// config, the first block address the writer uses there and how many
+// blocks a complete merge of total blocks writes there. Shared output
+// starts after each input disk's resident runs (after the stripes, when
+// striped); a separate output disk starts at block 0. The writer
+// flushes full batches round-robin from target 0 and then the ragged
+// tail on the next target in turn, so the counts are exact.
+func (w WriteConfig) regions(lay *layout.Layout, total int64) (start, blocks []int) {
+	n := w.Disks
+	if w.Shared {
+		n = lay.D()
+	}
+	start, blocks = make([]int, n), make([]int, n)
+	if w.Shared {
+		for dk := range start {
+			if lay.Placement() == layout.Striped {
+				start[dk] = lay.MaxBlocksOnDisk()
+				continue
+			}
+			for _, r := range lay.RunsOnDisk(dk) {
+				start[dk] += lay.RunLength(r)
+			}
+		}
+	}
+	batch := int64(w.BatchBlocks)
+	full := total / batch
+	for t := range blocks {
+		per := full / int64(n)
+		if int64(t) < full%int64(n) {
+			per++
+		}
+		blocks[t] = int(per * batch)
+	}
+	blocks[full%int64(n)] += int(total % batch)
+	return start, blocks
+}
+
 // writer manages the merge's output stream inside the engine.
 type writer struct {
 	cfg   WriteConfig
-	e     *engine
 	disks []*disk.Disk // the output targets (input disks when shared)
 
 	// nextAddr[i] is the next sequential output address on target i;
@@ -107,8 +137,6 @@ type writer struct {
 
 	pending     int // produced, unwritten blocks (buffered)
 	outstanding int // blocks inside submitted write requests
-
-	bufferFree *sim.Signal
 
 	// Stats.
 	written    int64
@@ -121,31 +149,13 @@ func newWriter(e *engine) (*writer, error) {
 	if !e.cfg.Write.Enabled {
 		return nil, nil
 	}
-	w := &writer{
-		cfg:        e.cfg.Write.withDefaults(e.cfg.N, e.cfg.Write.targets(e.cfg)),
-		e:          e,
-		bufferFree: e.k.NewSignal(),
-	}
+	w := &writer{cfg: e.cfg.Write.withDefaults(e.cfg.N, e.cfg.Write.targets(e.cfg))}
+	w.nextAddr, _ = w.cfg.regions(e.lay, e.cfg.TotalBlocks())
 	if w.cfg.Shared {
 		w.disks = e.disks
-		// Output regions start after each disk's resident input runs.
-		w.nextAddr = make([]int, len(e.disks))
-		for dk := range e.disks {
-			used := 0
-			for _, r := range e.lay.RunsOnDisk(dk) {
-				if e.lay.HomeDisk(r) == dk {
-					used += e.lay.RunLength(r)
-				}
-			}
-			if e.lay.Placement().String() == "striped" {
-				used = e.lay.MaxBlocksOnDisk()
-			}
-			w.nextAddr[dk] = used
-		}
 		return w, nil
 	}
 	// Separate output array: fresh disks numbered after the input ones.
-	w.nextAddr = make([]int, w.cfg.Disks)
 	for i := 0; i < w.cfg.Disks; i++ {
 		id := len(e.disks) + i
 		dk, err := disk.New(e.k, id, e.cfg.Disk, e.writeRot.SplitIndexed("write-disk", i))
@@ -163,50 +173,4 @@ func newWriter(e *engine) (*writer, error) {
 		w.disks = append(w.disks, dk)
 	}
 	return w, nil
-}
-
-// produce is called by the CPU for every merged block. It stalls the
-// calling process when the write-behind buffer is full, then batches
-// the block for writing.
-func (w *writer) produce(p *sim.Proc) {
-	start := p.Now()
-	p.WaitFor(w.bufferFree, func() bool {
-		return w.pending+w.outstanding < w.cfg.BufferBlocks
-	})
-	w.writeStall += p.Now() - start
-	w.pending++
-	if w.pending >= w.cfg.BatchBlocks {
-		w.flush(w.pending)
-	}
-}
-
-// flush submits a write of n buffered blocks to the next target.
-// Buffer slots free as individual blocks land on the platter.
-func (w *writer) flush(n int) {
-	target := w.nextTarget
-	w.nextTarget = (w.nextTarget + 1) % len(w.disks)
-	addr := w.nextAddr[target]
-	w.nextAddr[target] += n
-	w.pending -= n
-	w.outstanding += n
-	w.disks[target].Submit(&disk.Request{
-		Start: addr,
-		Count: n,
-		Tag:   "write",
-		OnBlock: func(i int, at sim.Time) {
-			w.outstanding--
-			w.written++
-			w.bufferFree.Broadcast()
-		},
-	})
-}
-
-// drain flushes any ragged tail and waits until all writes land.
-func (w *writer) drain(p *sim.Proc) {
-	if w.pending > 0 {
-		w.flush(w.pending)
-	}
-	start := p.Now()
-	p.WaitFor(w.bufferFree, func() bool { return w.outstanding == 0 })
-	w.writeStall += p.Now() - start
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/disk"
+	"repro/internal/layout"
 	"repro/internal/sim"
 )
 
@@ -114,6 +116,104 @@ func TestWriteConfigValidation(t *testing.T) {
 	cfg.Disk.Geometry.Cylinders = 100 // 6400 blocks < 5000 input + 5000 output
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("overflowing shared write config accepted")
+	}
+}
+
+// sharedBatchConfig returns a config whose output regions are sized by
+// the real placement and batch schedule: k=2 runs of blocksPerRun on
+// the paper disk's two arms, shared writes in batches of batch blocks.
+// Disk 0 takes the first full batch and the ragged tail.
+func sharedBatchConfig(blocksPerRun, batch int) Config {
+	cfg := Default()
+	cfg.K, cfg.D, cfg.N, cfg.BlocksPerRun = 2, 2, 1, blocksPerRun
+	cfg.CacheBlocks = cfg.DefaultCache()
+	cfg.Write = WriteConfig{Enabled: true, Shared: true, BatchBlocks: batch, BufferBlocks: 2 * batch}
+	return cfg
+}
+
+// clusteredSharedConfig puts runs 0 and 1 on disk 0 of a one-cylinder
+// (64-block) paper disk and the two 2-block runs on disk 1, with
+// shared writes one block at a time.
+func clusteredSharedConfig(run1 int) Config {
+	cfg := Default()
+	cfg.K, cfg.D, cfg.N = 4, 2, 1
+	cfg.RunLengths = []int{24, run1, 2, 2}
+	cfg.Placement = layout.Clustered
+	cfg.Disk.Geometry.Cylinders = 1
+	cfg.CacheBlocks = cfg.DefaultCache()
+	cfg.Write = WriteConfig{Enabled: true, Shared: true}
+	return cfg
+}
+
+// TestWriteGeometryFitsExactly runs configs whose output ends on the
+// disk's last block: the check is exact, not a margin.
+func TestWriteGeometryFitsExactly(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"shared batch and tail":  sharedBatchConfig(51199, 51197), // 51199 + 51197 + 4 = 102400
+		"clustered unequal runs": clusteredSharedConfig(17),       // 41 + 23 = 64
+	} {
+		t.Run(name, func(t *testing.T) {
+			res := mustRun(t, cfg)
+			if res.WrittenBlocks != res.MergedBlocks {
+				t.Fatalf("wrote %d of %d merged blocks", res.WrittenBlocks, res.MergedBlocks)
+			}
+		})
+	}
+}
+
+// TestWriteRegionsExact checks regions against what the writer does:
+// on every output target, the write requests must start at the
+// region's first address and cover exactly its block count.
+func TestWriteRegionsExact(t *testing.T) {
+	base := func() Config {
+		cfg := Default()
+		cfg.K, cfg.D, cfg.N = 7, 3, 2
+		cfg.RunLengths = []int{30, 11, 25, 8, 40, 13, 9}
+		cfg.CacheBlocks = cfg.DefaultCache()
+		return cfg
+	}
+	cfgs := map[string]Config{}
+	for _, p := range []layout.Placement{layout.RoundRobin, layout.Clustered, layout.Striped} {
+		c := base()
+		c.Placement = p
+		c.Write = WriteConfig{Enabled: true, Shared: true, BatchBlocks: 7}
+		cfgs["shared-"+p.String()] = c
+	}
+	c := base()
+	c.Write = WriteConfig{Enabled: true, Disks: 2, BatchBlocks: 5}
+	cfgs["separate"] = c
+
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) {
+			first := map[int]int{}
+			written := map[int]int{}
+			cfg.OnRequest = func(rt disk.RequestTrace) {
+				if rt.Tag != "write" {
+					return
+				}
+				if _, ok := first[rt.Disk]; !ok {
+					first[rt.Disk] = rt.Start
+				}
+				written[rt.Disk] += rt.Count
+			}
+			mustRun(t, cfg)
+			lay, err := layout.NewLengths(cfg.Placement, cfg.RunLengths, cfg.D)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := cfg.Write.withDefaults(cfg.N, cfg.Write.targets(cfg))
+			start, blocks := w.regions(lay, cfg.TotalBlocks())
+			offset := 0 // separate output disks are numbered after the input ones
+			if !w.Shared {
+				offset = cfg.D
+			}
+			for tgt := range start {
+				if first[offset+tgt] != start[tgt] || written[offset+tgt] != blocks[tgt] {
+					t.Fatalf("target %d: writes start at %d and cover %d blocks, regions says %d and %d",
+						tgt, first[offset+tgt], written[offset+tgt], start[tgt], blocks[tgt])
+				}
+			}
+		})
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"repro/internal/sim"
 )
 
-// TestSubmitNoWaitZeroAlloc pins the event-mode request path at zero
-// allocations per serviced request: SubmitNoWait → enqueue → dispatch →
+// TestSubmitNoWaitZeroAlloc pins the request path at zero allocations
+// per serviced request: SubmitNoWait → dispatch →
 // chained block deliveries → OnBlock must all run on pooled state. A
 // regression here silently re-introduces per-I/O garbage on the hottest
 // loop of the simulator.
@@ -44,6 +44,6 @@ func TestSubmitNoWaitZeroAlloc(t *testing.T) {
 		service()
 	}
 	if avg := testing.AllocsPerRun(100, service); avg != 0 {
-		t.Errorf("event-mode disk request path allocates %.2f allocs/op, want 0", avg)
+		t.Errorf("disk request path allocates %.2f allocs/op, want 0", avg)
 	}
 }

@@ -15,10 +15,9 @@ import (
 // one seek plus one rotational latency, then delivers blocks every
 // TransferPerBlock.
 //
-// Completion is observable at three grains: OnBlock fires per block as
-// it lands (i is the 0-based index within the request), FirstDone
-// completes with the first block (what an unsynchronized demand fetch
-// waits on) and Done completes with the last.
+// Progress is observable per block: OnBlock fires as each block lands
+// (i is the 0-based index within the request), so index 0 marks the
+// first block and index Count-1 the request's completion.
 type Request struct {
 	// Start is a flat block address on the disk.
 	//detlint:unit blocks
@@ -30,10 +29,6 @@ type Request struct {
 	// OnBlock, if non-nil, is invoked at the simulated instant each
 	// block finishes transferring.
 	OnBlock func(i int, at sim.Time)
-
-	// FirstDone and Done are created by Submit.
-	FirstDone *sim.Completion
-	Done      *sim.Completion
 
 	// Tag carries caller context (e.g. which run the fetch serves).
 	Tag any
@@ -106,7 +101,7 @@ func (s Stats) MeanSeekDistance() float64 {
 }
 
 // Disk is one independently operating drive. It is driven entirely by
-// kernel events; Submit may be called from process or event context.
+// kernel events; SubmitNoWait may be called from any event callback.
 type Disk struct {
 	id     int
 	k      *sim.Kernel
@@ -231,30 +226,16 @@ func (d *Disk) FaultError() error { return d.faultErr }
 // CylinderOf maps a block address to its cylinder.
 func (d *Disk) CylinderOf(block int) int { return block / d.blocksPerCyl }
 
-// Submit enqueues req and starts service if the disk is idle. It
-// initializes req.FirstDone and req.Done and returns req for chaining.
-func (d *Disk) Submit(req *Request) *Request {
-	req.FirstDone = d.k.NewCompletion()
-	req.Done = d.k.NewCompletion()
-	return d.enqueue(req)
-}
-
-// SubmitNoWait enqueues req without allocating completion latches: the
-// caller observes progress through OnBlock alone (req.FirstDone and
-// req.Done are nil). This is the zero-alloc path the event-mode engine
-// submits on; the request struct itself may be pooled and resubmitted
-// once its last OnBlock has fired. The hotpath tag roots the hotalloc
-// analyzer here — the same property CI's zero-alloc benchmark gate
-// measures on BenchmarkDiskRequest.
+// SubmitNoWait enqueues req and starts service if the disk is idle,
+// returning req for chaining. The caller observes progress through
+// OnBlock; the name says that nothing waits on the request, which is
+// never copied, so the struct may be pooled and resubmitted once its
+// last OnBlock has fired. The hotpath tag roots the hotalloc analyzer
+// here — the same property CI's zero-alloc benchmark gate measures on
+// BenchmarkDiskRequest.
 //
 //detlint:hotpath
 func (d *Disk) SubmitNoWait(req *Request) *Request {
-	req.FirstDone = nil
-	req.Done = nil
-	return d.enqueue(req)
-}
-
-func (d *Disk) enqueue(req *Request) *Request {
 	if req.Count <= 0 {
 		panic(fmt.Sprintf("disk %d: request with Count=%d", d.id, req.Count))
 	}
@@ -498,8 +479,7 @@ func (d *Disk) growBlockFns(n int) {
 }
 
 // deliver completes block i of the in-service request: per-block
-// callback, completion latches, and — after the last block — the next
-// dispatch.
+// callback and — after the last block — the next dispatch.
 func (d *Disk) deliver(i int) {
 	req := d.cur
 	if i+1 < req.Count && d.svcTpb > 0 {
@@ -508,13 +488,7 @@ func (d *Disk) deliver(i int) {
 	if req.OnBlock != nil {
 		req.OnBlock(i, d.k.Now())
 	}
-	if i == 0 && req.FirstDone != nil {
-		req.FirstDone.Complete()
-	}
 	if i == req.Count-1 {
-		if req.Done != nil {
-			req.Done.Complete()
-		}
 		d.cur = nil
 		d.setBusy(false)
 		if len(d.queue) > 0 {

@@ -33,20 +33,53 @@ func newTestDisk(t *testing.T, k *sim.Kernel, p Params) *Disk {
 	return d
 }
 
+// blockLog records when a request's first and last blocks land: the two
+// instants callers of the disk act on (an unsynchronized demand fetch
+// proceeds on the first block, a synchronized batch on the last).
+type blockLog struct {
+	first, last sim.Time
+	landed      int // blocks delivered so far
+	count       int
+}
+
+// done reports whether every block of the request has landed.
+func (b *blockLog) done() bool { return b.landed == b.count }
+
+// submit enqueues req on d with an OnBlock that fills the returned log
+// and then calls req's own OnBlock, if any.
+func submit(d *Disk, req *Request) *blockLog {
+	log := &blockLog{count: req.Count}
+	inner := req.OnBlock
+	req.OnBlock = func(i int, at sim.Time) {
+		if i == 0 {
+			log.first = at
+		}
+		if i == req.Count-1 {
+			log.last = at
+		}
+		log.landed++
+		if inner != nil {
+			inner(i, at)
+		}
+	}
+	d.SubmitNoWait(req)
+	return log
+}
+
 func TestSingleBlockServiceTime(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, testParams())
 	// Head at cylinder 0; request block 35 -> cylinder 3.
-	req := d.Submit(&Request{Start: 35, Count: 1})
+	req := submit(d, &Request{Start: 35, Count: 1})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// seek 3 + rot 4 + transfer 2 = 9.
-	if req.Done.At() != 9 {
-		t.Fatalf("done at %v, want 9", req.Done.At())
+	if req.last != 9 {
+		t.Fatalf("done at %v, want 9", req.last)
 	}
-	if !req.FirstDone.Done() || req.FirstDone.At() != 9 {
-		t.Fatalf("first done at %v", req.FirstDone.At())
+	if req.landed == 0 || req.first != 9 {
+		t.Fatalf("first done at %v", req.first)
 	}
 }
 
@@ -54,7 +87,7 @@ func TestMultiBlockAmortization(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, testParams())
 	var blockTimes []sim.Time
-	req := d.Submit(&Request{
+	req := submit(d, &Request{
 		Start: 0, Count: 5,
 		OnBlock: func(i int, at sim.Time) { blockTimes = append(blockTimes, at) },
 	})
@@ -68,8 +101,8 @@ func TestMultiBlockAmortization(t *testing.T) {
 			t.Fatalf("block times = %v, want %v", blockTimes, want)
 		}
 	}
-	if req.FirstDone.At() != 6 || req.Done.At() != 14 {
-		t.Fatalf("first/done = %v/%v", req.FirstDone.At(), req.Done.At())
+	if req.first != 6 || req.last != 14 {
+		t.Fatalf("first/done = %v/%v", req.first, req.last)
 	}
 	st := d.Stats()
 	if st.Requests != 1 || st.Blocks != 5 {
@@ -84,13 +117,13 @@ func TestFCFSQueueing(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, testParams())
 	// Two requests submitted together; second waits for first.
-	r1 := d.Submit(&Request{Start: 0, Count: 1}) // 0+4+2 = 6
-	r2 := d.Submit(&Request{Start: 0, Count: 1}) // starts at 6: +4+2 = 12
+	r1 := submit(d, &Request{Start: 0, Count: 1}) // 0+4+2 = 6
+	r2 := submit(d, &Request{Start: 0, Count: 1}) // starts at 6: +4+2 = 12
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r1.Done.At() != 6 || r2.Done.At() != 12 {
-		t.Fatalf("done at %v and %v, want 6 and 12", r1.Done.At(), r2.Done.At())
+	if r1.last != 6 || r2.last != 12 {
+		t.Fatalf("done at %v and %v, want 6 and 12", r1.last, r2.last)
 	}
 	st := d.Stats()
 	if st.QueueWait != 6 {
@@ -106,15 +139,15 @@ func TestHeadPositionPersists(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, testParams())
 	// First request moves head to cylinder 5 (blocks 50-59).
-	d.Submit(&Request{Start: 50, Count: 1})
-	r2 := &Request{Start: 20, Count: 1}
-	k.At(20, func() { d.Submit(r2) })
+	submit(d, &Request{Start: 50, Count: 1})
+	var r2 *blockLog
+	k.At(20, func() { r2 = submit(d, &Request{Start: 20, Count: 1}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// r2: seek |5-2| = 3, rot 4, transfer 2 => 9, from t=20.
-	if r2.Done.At() != 29 {
-		t.Fatalf("r2 done at %v, want 29", r2.Done.At())
+	if r2.last != 29 {
+		t.Fatalf("r2 done at %v, want 29", r2.last)
 	}
 	if d.CurrentCylinder() != 2 {
 		t.Fatalf("head at %d, want 2", d.CurrentCylinder())
@@ -127,7 +160,7 @@ func TestHeadPositionPersists(t *testing.T) {
 func TestHeadEndsAtLastBlockCylinder(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, testParams())
-	d.Submit(&Request{Start: 8, Count: 10}) // spans cylinders 0 and 1
+	submit(d, &Request{Start: 8, Count: 10}) // spans cylinders 0 and 1
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +175,14 @@ func TestSSTFPicksNearest(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, p)
 	// Occupy the disk, then queue far and near requests.
-	d.Submit(&Request{Start: 0, Count: 1})
-	far := d.Submit(&Request{Start: 90, Count: 1})  // cylinder 9
-	near := d.Submit(&Request{Start: 10, Count: 1}) // cylinder 1
+	submit(d, &Request{Start: 0, Count: 1})
+	far := submit(d, &Request{Start: 90, Count: 1})  // cylinder 9
+	near := submit(d, &Request{Start: 10, Count: 1}) // cylinder 1
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !(near.Done.At() < far.Done.At()) {
-		t.Fatalf("SSTF served far (%v) before near (%v)", far.Done.At(), near.Done.At())
+	if !(near.last < far.last) {
+		t.Fatalf("SSTF served far (%v) before near (%v)", far.last, near.last)
 	}
 }
 
@@ -159,14 +192,16 @@ func TestUniformRotationalMean(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, p)
 	const n = 4000
-	prev := d.Submit(&Request{Start: 0, Count: 1})
-	for i := 1; i < n; i++ {
-		prev = d.Submit(&Request{Start: 0, Count: 1})
+	var last *blockLog
+	for i := 0; i < n; i++ {
+		last = submit(d, &Request{Start: 0, Count: 1})
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	_ = prev
+	if !last.done() {
+		t.Fatal("last request never served")
+	}
 	st := d.Stats()
 	meanRot := float64(st.RotTime) / float64(st.Requests)
 	if math.Abs(meanRot-4) > 0.15 {
@@ -183,7 +218,7 @@ func TestPositionalRotationBounded(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, p)
 	for i := 0; i < 50; i++ {
-		d.Submit(&Request{Start: (i * 7) % 100, Count: 1})
+		submit(d, &Request{Start: (i * 7) % 100, Count: 1})
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -204,9 +239,8 @@ func TestBusyObserver(t *testing.T) {
 	}
 	var transitions []tr
 	d.SetBusyObserver(func(at sim.Time, b bool) { transitions = append(transitions, tr{at, b}) })
-	d.Submit(&Request{Start: 0, Count: 1})
-	r2 := &Request{Start: 0, Count: 1}
-	k.At(20, func() { d.Submit(r2) })
+	submit(d, &Request{Start: 0, Count: 1})
+	k.At(20, func() { submit(d, &Request{Start: 0, Count: 1}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +266,10 @@ func TestSubmitValidation(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("Submit(%+v) did not panic", req)
+					t.Fatalf("SubmitNoWait(%+v) did not panic", req)
 				}
 			}()
-			d.Submit(req)
+			d.SubmitNoWait(req)
 		}()
 	}
 }
@@ -288,7 +322,7 @@ func TestPaperParams(t *testing.T) {
 func TestMeanServiceAccessors(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, testParams())
-	d.Submit(&Request{Start: 0, Count: 4})
+	submit(d, &Request{Start: 0, Count: 4})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -321,17 +355,17 @@ func TestServiceTimePropertyFCFS(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var reqs []*Request
+		var reqs []*blockLog
 		for _, r := range raw {
 			start := int(r) % 990
 			count := int(r%5) + 1
-			reqs = append(reqs, d.Submit(&Request{Start: start, Count: count}))
+			reqs = append(reqs, submit(d, &Request{Start: start, Count: count}))
 		}
 		if err := k.Run(); err != nil {
 			return false
 		}
 		for _, r := range reqs {
-			if !r.Done.Done() {
+			if !r.done() {
 				return false
 			}
 		}
@@ -389,12 +423,12 @@ func TestAffineSqrtSeekInService(t *testing.T) {
 	p.SeekSqrtCoeff = 1
 	d := newTestDisk(t, k, p)
 	// Move to cylinder 9 (block 90): seek = 2 + 1*3 = 5; rot 4; xfer 2.
-	req := d.Submit(&Request{Start: 90, Count: 1})
+	req := submit(d, &Request{Start: 90, Count: 1})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if req.Done.At() != 11 {
-		t.Fatalf("done at %v, want 11", req.Done.At())
+	if req.last != 11 {
+		t.Fatalf("done at %v, want 11", req.last)
 	}
 }
 
@@ -416,11 +450,11 @@ func TestAccessorsAndGeometry(t *testing.T) {
 	if d.Busy() {
 		t.Fatal("new disk busy")
 	}
-	d.Submit(&Request{Start: 0, Count: 1})
+	submit(d, &Request{Start: 0, Count: 1})
 	if !d.Busy() {
 		t.Fatal("disk with request not busy")
 	}
-	d.Submit(&Request{Start: 0, Count: 1})
+	submit(d, &Request{Start: 0, Count: 1})
 	if d.QueueLen() != 1 {
 		t.Fatalf("queue = %d", d.QueueLen())
 	}
@@ -458,15 +492,15 @@ func TestSCANSweepsInOrder(t *testing.T) {
 	d := newTestDisk(t, k, p)
 	// Occupy the disk at cylinder 0, then queue requests at cylinders
 	// 7, 3, 9, 1 out of order. Sweeping up from 0 serves 1, 3, 7, 9.
-	d.Submit(&Request{Start: 0, Count: 1})
-	c7 := d.Submit(&Request{Start: 70, Count: 1})
-	c3 := d.Submit(&Request{Start: 30, Count: 1})
-	c9 := d.Submit(&Request{Start: 90, Count: 1})
-	c1 := d.Submit(&Request{Start: 10, Count: 1})
+	submit(d, &Request{Start: 0, Count: 1})
+	c7 := submit(d, &Request{Start: 70, Count: 1})
+	c3 := submit(d, &Request{Start: 30, Count: 1})
+	c9 := submit(d, &Request{Start: 90, Count: 1})
+	c1 := submit(d, &Request{Start: 10, Count: 1})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	order := []sim.Time{c1.Done.At(), c3.Done.At(), c7.Done.At(), c9.Done.At()}
+	order := []sim.Time{c1.last, c3.last, c7.last, c9.last}
 	for i := 1; i < len(order); i++ {
 		if order[i] <= order[i-1] {
 			t.Fatalf("SCAN order violated: %v", order)
@@ -480,12 +514,12 @@ func TestSCANReversesWhenNothingAhead(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, p)
 	// Move head up to cylinder 9 first, then serve lower requests.
-	d.Submit(&Request{Start: 90, Count: 1})
-	low := d.Submit(&Request{Start: 20, Count: 1})
+	submit(d, &Request{Start: 90, Count: 1})
+	low := submit(d, &Request{Start: 20, Count: 1})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !low.Done.Done() {
+	if !low.done() {
 		t.Fatal("downward request never served")
 	}
 	if d.CurrentCylinder() != 2 {

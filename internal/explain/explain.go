@@ -14,7 +14,7 @@
 // compute + stall + initial load + idle = makespan; and the attributed
 // stall total must equal core's Result.StallTime (both sides sum the
 // same recorded intervals). Check enforces all of it within Epsilon,
-// and the property tests in this package replay the engine A/B config
+// and the property tests in this package replay the engine golden config
 // matrix through it.
 package explain
 

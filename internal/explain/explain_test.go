@@ -18,11 +18,11 @@ import (
 	"repro/internal/workload"
 )
 
-// abConfigs mirrors the engine A/B matrix from internal/core's
-// engineab_test.go: every synchronization mode, placement, queue
+// abConfigs mirrors the engine's golden matrix from internal/core's
+// golden_test.go: every synchronization mode, placement, queue
 // discipline, rotational model, run policy, admission policy, writer
 // mode, fault flavour, and workload family. The conservation invariant
-// must hold on every point the engines are pinned on.
+// must hold on every point the engine is pinned on.
 func abConfigs() map[string]core.Config {
 	small := func() core.Config {
 		cfg := core.Default()
@@ -174,7 +174,7 @@ func runTraced(t *testing.T, cfg core.Config, workers int) (core.Result, *trace.
 	return aggs[0].Results[0], cfg.Trace
 }
 
-// TestConservationMatrix replays the full A/B config matrix and demands
+// TestConservationMatrix replays the full golden config matrix and demands
 // the conservation invariant on each point: the report's per-disk and
 // CPU decompositions tile the makespan and the attributed stall total
 // equals Result.StallTime.

@@ -24,7 +24,7 @@ type goldenCase struct {
 	opts func(core.Result) explain.Options
 }
 
-// goldenCases is the A/B matrix at the run's own makespan, plus the
+// goldenCases is the config matrix at the run's own makespan, plus the
 // option shapes the matrix leaves out: a makespan clipped to 60% of
 // the run (spans straddling and past the cut), a TopChains bound below
 // the default, every chain (pins the full ranking order), and an

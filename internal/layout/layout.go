@@ -231,17 +231,12 @@ func (l *Layout) MaxBlocksOnDisk() int {
 	return most
 }
 
-// Extents decomposes the fetch of run r's blocks [from, from+n) into
-// per-disk contiguous extents. For the paper's contiguous placements the
-// result is a single extent; for Striped up to D extents. It panics on
-// out-of-range coordinates, which always indicate an engine bug.
-func (l *Layout) Extents(r, from, n int) []Extent {
-	return l.AppendExtents(nil, r, from, n)
-}
-
-// AppendExtents is Extents appending into dst, so steady-state callers
-// can reuse one backing array across fetches instead of allocating a
-// slice per I/O decision.
+// AppendExtents decomposes the fetch of run r's blocks [from, from+n)
+// into per-disk contiguous extents and appends them to dst, so
+// steady-state callers can reuse one backing array across fetches. For
+// the paper's contiguous placements the result is a single extent; for
+// Striped up to D extents. It panics on out-of-range coordinates, which
+// always indicate an engine bug.
 func (l *Layout) AppendExtents(dst []Extent, r, from, n int) []Extent {
 	if r < 0 || r >= len(l.runLen) {
 		panic(fmt.Sprintf("layout: run %d out of range", r))

@@ -30,7 +30,7 @@ func TestRoundRobinPacking(t *testing.T) {
 	// Disk 0 holds runs 0,2,4,6,8 packed in that order.
 	wantStart := 0
 	for _, r := range l.RunsOnDisk(0) {
-		ext := l.Extents(r, 0, 100)
+		ext := l.AppendExtents(nil, r, 0, 100)
 		if len(ext) != 1 {
 			t.Fatalf("contiguous run decomposed into %d extents", len(ext))
 		}
@@ -55,7 +55,7 @@ func TestClusteredAssignment(t *testing.T) {
 
 func TestExtentsSingleForContiguous(t *testing.T) {
 	l, _ := New(RoundRobin, 25, 5, 1000)
-	ext := l.Extents(7, 250, 10)
+	ext := l.AppendExtents(nil, 7, 250, 10)
 	if len(ext) != 1 {
 		t.Fatalf("%d extents", len(ext))
 	}
@@ -82,7 +82,7 @@ func TestStripedCoversAllBlocksExactlyOnce(t *testing.T) {
 	}
 	for r := 0; r < 6; r++ {
 		seen := make(map[int]bool)
-		exts := l.Extents(r, 0, 20)
+		exts := l.AppendExtents(nil, r, 0, 20)
 		for _, e := range exts {
 			for j := 0; j < e.Count; j++ {
 				idx := e.BlockIndex(j)
@@ -102,7 +102,7 @@ func TestStripedBlockDiskMapping(t *testing.T) {
 	l, _ := New(Striped, 4, 2, 10)
 	for r := 0; r < 4; r++ {
 		for b := 0; b < 10; b++ {
-			exts := l.Extents(r, b, 1)
+			exts := l.AppendExtents(nil, r, b, 1)
 			if len(exts) != 1 {
 				t.Fatalf("single block in %d extents", len(exts))
 			}
@@ -116,7 +116,7 @@ func TestStripedBlockDiskMapping(t *testing.T) {
 
 func TestStripedExtentsPartialRange(t *testing.T) {
 	l, _ := New(Striped, 3, 3, 30)
-	exts := l.Extents(1, 5, 10) // blocks 5..14
+	exts := l.AppendExtents(nil, 1, 5, 10) // blocks 5..14
 	total := 0
 	seen := make(map[int]bool)
 	for _, e := range exts {
@@ -139,7 +139,7 @@ func TestStripedDistinctRunsDistinctAddresses(t *testing.T) {
 	type loc struct{ disk, addr int }
 	seen := make(map[loc][2]int)
 	for r := 0; r < 5; r++ {
-		for _, e := range l.Extents(r, 0, 25) {
+		for _, e := range l.AppendExtents(nil, r, 0, 25) {
 			for j := 0; j < e.Count; j++ {
 				pos := loc{e.Disk, e.Start + j}
 				if prev, dup := seen[pos]; dup {
@@ -172,10 +172,10 @@ func TestValidation(t *testing.T) {
 func TestExtentsPanicsOutOfRange(t *testing.T) {
 	l, _ := New(RoundRobin, 5, 1, 100)
 	for _, fn := range []func(){
-		func() { l.Extents(-1, 0, 1) },
-		func() { l.Extents(5, 0, 1) },
-		func() { l.Extents(0, 95, 10) },
-		func() { l.Extents(0, 0, 0) },
+		func() { l.AppendExtents(nil, -1, 0, 1) },
+		func() { l.AppendExtents(nil, 5, 0, 1) },
+		func() { l.AppendExtents(nil, 0, 95, 10) },
+		func() { l.AppendExtents(nil, 0, 0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -201,7 +201,7 @@ func TestExtentsPropertyAllPlacements(t *testing.T) {
 				return false
 			}
 			seen := make(map[int]bool)
-			for _, e := range l.Extents(0, from, n) {
+			for _, e := range l.AppendExtents(nil, 0, from, n) {
 				if e.Disk < 0 || e.Disk >= d || e.Count <= 0 || e.Start < 0 {
 					return false
 				}
@@ -262,7 +262,7 @@ func TestUnequalLengthsPacking(t *testing.T) {
 	// All on one disk, packed: starts 0, 5, 12.
 	wantStart := []int{0, 5, 12}
 	for r, want := range wantStart {
-		ext := l.Extents(r, 0, 1)
+		ext := l.AppendExtents(nil, r, 0, 1)
 		if ext[0].Start != want {
 			t.Fatalf("run %d starts at %d, want %d", r, ext[0].Start, want)
 		}
@@ -280,7 +280,7 @@ func TestStripedUnequalLengths(t *testing.T) {
 	// Coverage: every block of each run exactly once.
 	for r, length := range []int{6, 9, 12} {
 		seen := map[int]bool{}
-		for _, e := range l.Extents(r, 0, length) {
+		for _, e := range l.AppendExtents(nil, r, 0, length) {
 			for j := 0; j < e.Count; j++ {
 				idx := e.BlockIndex(j)
 				if seen[idx] {

@@ -128,6 +128,10 @@ func TestBadRequestsAre400(t *testing.T) {
 		{"negative trials", `{"trials": -1}`},
 		{"trailing garbage", `{"k": 4}garbage`},
 		{"concatenated objects", `{"k": 4}{"k": 8}`},
+		// Output that overruns disk 0 must fail validation, not panic
+		// the engine into a 500.
+		{"shared write overflow", `{"k": 2, "d": 2, "n": 1, "blocks_per_run": 51199,
+			"write": {"shared": true, "batch_blocks": 40000, "buffer_blocks": 80000}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

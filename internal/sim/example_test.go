@@ -6,47 +6,45 @@ import (
 	"repro/internal/sim"
 )
 
-// Example demonstrates the process-oriented kernel: two processes
-// sharing a unit resource under simulated time.
+// Example drives a one-server queue with plain callbacks: the server is
+// a small state machine that records whether it is busy and schedules
+// its own completion events, the way the merge engine and disk model
+// run on the kernel.
 func Example() {
 	k := sim.New()
-	server := k.NewResource(1)
+	const service = 10 * sim.Millisecond
+	var queue []string
+	busy := false
 
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("client-%d", i)
-		k.Spawn(name, func(p *sim.Proc) {
-			p.Acquire(server)
-			p.Sleep(10 * sim.Millisecond)
-			fmt.Printf("%s served at %v\n", p.Name(), p.Now())
-			server.Release()
+	var serveNext func()
+	serveNext = func() {
+		if len(queue) == 0 {
+			busy = false
+			return
+		}
+		name := queue[0]
+		queue = queue[1:]
+		busy = true
+		k.After(service, func() {
+			fmt.Printf("%s served at %v\n", name, k.Now())
+			serveNext()
 		})
 	}
+	arrive := func(name string) {
+		queue = append(queue, name)
+		if !busy {
+			serveNext()
+		}
+	}
+
+	k.At(0, func() { arrive("client-0") })
+	k.At(0, func() { arrive("client-1") })
+	k.At(25*sim.Millisecond, func() { arrive("client-2") })
 	if err := k.Run(); err != nil {
 		panic(err)
 	}
-	fmt.Printf("utilization: %.0f%%\n", 100*server.Utilization())
 	// Output:
 	// client-0 served at 10ms
 	// client-1 served at 20ms
-	// utilization: 100%
-}
-
-// ExampleCompletion shows one-shot synchronization between processes.
-func ExampleCompletion() {
-	k := sim.New()
-	done := k.NewCompletion()
-
-	k.Spawn("io", func(p *sim.Proc) {
-		p.Sleep(25)
-		done.Complete()
-	})
-	k.Spawn("cpu", func(p *sim.Proc) {
-		p.Await(done)
-		fmt.Printf("resumed at %v\n", p.Now())
-	})
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
-	// Output:
-	// resumed at 25ms
+	// client-2 served at 35ms
 }

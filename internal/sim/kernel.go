@@ -1,19 +1,20 @@
-// Package sim is a deterministic process-oriented discrete-event
-// simulation kernel. It is the Go substrate standing in for the Rice CSIM
-// package the paper's simulator was built on.
+// Package sim is a deterministic discrete-event simulation kernel. It is
+// the Go substrate standing in for the Rice CSIM package the paper's
+// simulator was built on.
 //
-// The kernel owns a virtual clock and an event calendar. Work is
-// expressed either as plain scheduled callbacks (Kernel.At / Kernel.After)
-// or as processes: goroutines that run one at a time under the kernel's
-// control and may block on simulated time (Proc.Sleep), on one-shot
-// completions (Completion), on broadcast signals (Signal), or on FCFS
-// resources (Resource).
+// The kernel owns a virtual clock and an event calendar, and all work is
+// a scheduled callback (Kernel.At / Kernel.After). Actors that wait —
+// the merge engine waiting on a fetch, a disk waiting out an outage —
+// are state machines: they record where they stopped and schedule the
+// callback that resumes them. A callback that wakes another actor at the
+// current instant does so with After(0), which runs the wake after
+// every event already pending at that instant.
 //
-// Determinism: at any instant exactly one goroutine — the kernel's or one
-// process's — is runnable; handoffs use unbuffered channels, and
-// simultaneous events fire in schedule order (a monotone sequence number
-// breaks ties). Two runs of the same program with the same inputs produce
-// identical event orderings, which the validation tests rely on.
+// Determinism: the kernel runs one callback at a time on the caller's
+// goroutine, and simultaneous events fire in schedule order (a monotone
+// sequence number breaks ties). Two runs of the same program with the
+// same inputs produce identical event orderings, which the validation
+// tests rely on.
 package sim
 
 import (
@@ -22,9 +23,9 @@ import (
 	"sync"
 )
 
-// ErrDeadlock is returned by Run when processes remain parked but the
-// event calendar is empty: no event can ever wake them.
-var ErrDeadlock = errors.New("sim: deadlock: live processes but no pending events")
+// ErrDeadlock is returned by Run when retained actors remain but the
+// event calendar is empty: no event can ever resume them.
+var ErrDeadlock = errors.New("sim: deadlock: live actors but no pending events")
 
 // ErrStopped is returned by Run when the simulation was halted by Stop
 // before the calendar drained.
@@ -65,10 +66,9 @@ func (k ekey) before(o ekey) bool {
 //     heap: pop is a cursor bump, and a push is usually a plain append
 //     because new events land later than everything already pending.
 //   - fifo: a ring of events scheduled AT the current instant while the
-//     clock already stands there. Wakers, signal broadcasts and
-//     completion callbacks all schedule at the current time (After(0)),
-//     which is the hottest path of a process-oriented simulation; those
-//     events append and pop in O(1) without disturbing the sorted set.
+//     clock already stands there. Same-instant wakes (After(0)) are the
+//     hottest scheduling path; those events append and pop in O(1)
+//     without disturbing the sorted set.
 //
 // The fifo invariant: every buffered event has at == the clock's current
 // instant, and its seq is greater than any event pushed earlier. The
@@ -214,19 +214,14 @@ func (c *calendar) release() {
 }
 
 // Kernel is a single simulated timeline. A Kernel and everything
-// scheduled on it must be used from one OS thread of control at a time;
-// the process mechanism enforces this for processes it manages.
+// scheduled on it must be used from one goroutine at a time.
 type Kernel struct {
 	now     Time
 	cal     calendar
 	seq     uint64
 	stopped bool
 
-	// park is the rendezvous on which a running process hands control
-	// back to the kernel (or to whichever event callback resumed it).
-	park chan struct{}
-
-	// live counts processes that have started and not yet finished.
+	// live counts retained actors that have not yet been released.
 	live int
 
 	trace Tracer
@@ -234,7 +229,7 @@ type Kernel struct {
 
 // New returns an empty kernel with the clock at zero.
 func New() *Kernel {
-	k := &Kernel{park: make(chan struct{})}
+	k := &Kernel{}
 	k.cal = *calendarPool.Get().(*calendar)
 	return k
 }
@@ -242,19 +237,18 @@ func New() *Kernel {
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 
-// SetTracer installs t to observe kernel activity; nil disables tracing.
+// SetTracer installs t to observe the lifecycle events actors report;
+// nil disables tracing.
 func (k *Kernel) SetTracer(t Tracer) { k.trace = t }
 
 // Tracer returns the installed tracer, or nil.
 func (k *Kernel) Tracer() Tracer { return k.trace }
 
 // Retain registers an event-driven actor with the kernel's liveness
-// accounting. A retained actor counts exactly like a spawned process:
-// if the calendar drains while any actor is still retained, Run reports
-// ErrDeadlock instead of silently ending with work outstanding. State
-// machines dispatched directly on the calendar (the event-mode merge
-// engine) call Retain at start and Release when they reach a terminal
-// state.
+// accounting: if the calendar drains while any actor is still retained,
+// Run reports ErrDeadlock instead of silently ending with work
+// outstanding. An actor (the merge engine's state machine) calls Retain
+// when it starts and Release when it reaches a terminal state.
 func (k *Kernel) Retain() { k.live++ }
 
 // Release undoes one Retain.
@@ -274,15 +268,13 @@ func (k *Kernel) At(t Time, fn func()) {
 func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 
 // Stop halts the run loop after the current event completes. Pending
-// events are dropped; parked processes are abandoned (their goroutines
-// are left blocked and will be collected when unreachable — callers that
-// need clean teardown should drain instead of stopping).
+// events are dropped and retained actors are abandoned.
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Run executes events in timestamp order until the calendar is empty.
-// It returns nil on a drained calendar with no live processes,
-// ErrDeadlock if processes remain parked with nothing to wake them, and
-// ErrStopped if Stop was called.
+// It returns nil on a drained calendar with no retained actors,
+// ErrDeadlock if actors remain retained with nothing left to resume
+// them, and ErrStopped if Stop was called.
 func (k *Kernel) Run() error { return k.RunUntil(-1) }
 
 // RunUntil executes events with timestamps <= horizon (a negative horizon

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -57,17 +58,45 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	}
 }
 
-func TestSchedulingInPastPanics(t *testing.T) {
+// TestAfterZeroYields pins the ordering rule the merge engine's wakes
+// rely on: an event scheduled with After(0) from inside an event runs
+// after every event already pending at that instant.
+func TestAfterZeroYields(t *testing.T) {
 	k := New()
-	k.At(10, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		k.At(5, func() {})
+	var log []string
+	k.At(5, func() {
+		log = append(log, "a")
+		k.After(0, func() { log = append(log, "a-wake") })
 	})
-	_ = k.Run()
+	k.At(5, func() { log = append(log, "b") })
+	k.At(5, func() {
+		k.After(0, func() { log = append(log, "c-wake") })
+		log = append(log, "c")
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(log), "[a b c a-wake c-wake]"; got != want {
+		t.Fatalf("log = %s, want %s", got, want)
+	}
+}
+
+func TestSchedulingInPastPanics(t *testing.T) {
+	for name, schedule := range map[string]func(k *Kernel){
+		"At before now":  func(k *Kernel) { k.At(5, func() {}) },
+		"negative After": func(k *Kernel) { k.After(-1, func() {}) },
+	} {
+		k := New()
+		k.At(10, func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			schedule(k)
+		})
+		_ = k.Run()
+	}
 }
 
 func TestRunUntilHorizon(t *testing.T) {
@@ -146,28 +175,37 @@ func TestHeapPropertyQuick(t *testing.T) {
 	}
 }
 
+// TestDeterministicReplay runs two self-rescheduling callback chains
+// that meet at t=6 and requires the same interleaving on every replay:
+// at the shared instant, b's event (scheduled at t=3) precedes a's
+// (scheduled at t=4).
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []string {
 		k := New()
 		var log []string
-		k.Spawn("a", func(p *Proc) {
-			for i := 0; i < 5; i++ {
-				p.Sleep(2)
-				log = append(log, "a")
+		chain := func(name string, period Time) {
+			left := 5
+			var tick func()
+			tick = func() {
+				log = append(log, fmt.Sprintf("%s@%v", name, k.Now()))
+				if left--; left > 0 {
+					k.After(period, tick)
+				}
 			}
-		})
-		k.Spawn("b", func(p *Proc) {
-			for i := 0; i < 5; i++ {
-				p.Sleep(3)
-				log = append(log, "b")
-			}
-		})
+			k.After(period, tick)
+		}
+		chain("a", 2)
+		chain("b", 3)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return log
 	}
 	first := run()
+	want := "[a@2ms b@3ms a@4ms b@6ms a@6ms a@8ms b@9ms a@10ms b@12ms b@15ms]"
+	if got := fmt.Sprint(first); got != want {
+		t.Fatalf("log = %s, want %s", got, want)
+	}
 	for trial := 0; trial < 5; trial++ {
 		again := run()
 		if len(again) != len(first) {
@@ -177,6 +215,28 @@ func TestDeterministicReplay(t *testing.T) {
 			if first[i] != again[i] {
 				t.Fatalf("replay diverged at %d: %v vs %v", i, first, again)
 			}
+		}
+	}
+}
+
+// TestDeadlockDetection covers the liveness accounting: an actor that
+// is retained and never released leaves Run with ErrDeadlock once the
+// calendar drains, and releasing it lets Run end cleanly.
+func TestDeadlockDetection(t *testing.T) {
+	for _, release := range []bool{false, true} {
+		k := New()
+		k.Retain()
+		k.After(5, func() {
+			if release {
+				k.Release()
+			}
+		})
+		err := k.Run()
+		if release && err != nil {
+			t.Fatalf("released actor: err = %v, want nil", err)
+		}
+		if !release && err != ErrDeadlock {
+			t.Fatalf("unreleased actor: err = %v, want ErrDeadlock", err)
 		}
 	}
 }

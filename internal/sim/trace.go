@@ -1,44 +1,10 @@
 package sim
 
-import (
-	"fmt"
-	"io"
-)
-
-// Tracer observes kernel activity. Implementations must not call back
-// into the kernel.
+// Tracer observes lifecycle events that actors on a kernel report
+// through Kernel.Tracer. Implementations must not call back into the
+// kernel.
 type Tracer interface {
 	// Event records a named occurrence at simulated time t. args are
 	// free-form context values.
 	Event(t Time, kind string, args ...any)
-}
-
-// WriterTracer writes one line per event to an io.Writer; useful for
-// debugging simulations.
-type WriterTracer struct {
-	W io.Writer
-}
-
-// Event implements Tracer.
-func (wt WriterTracer) Event(t Time, kind string, args ...any) {
-	fmt.Fprintf(wt.W, "%12.4f  %-14s", float64(t), kind)
-	for _, a := range args {
-		fmt.Fprintf(wt.W, " %v", a)
-	}
-	fmt.Fprintln(wt.W)
-}
-
-// CountingTracer counts events by kind; useful in tests.
-type CountingTracer struct {
-	Counts map[string]int
-}
-
-// NewCountingTracer returns an empty CountingTracer.
-func NewCountingTracer() *CountingTracer {
-	return &CountingTracer{Counts: make(map[string]int)}
-}
-
-// Event implements Tracer.
-func (ct *CountingTracer) Event(t Time, kind string, args ...any) {
-	ct.Counts[kind]++
 }

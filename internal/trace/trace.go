@@ -129,7 +129,7 @@ type QueueSample struct {
 	Depth int
 }
 
-// Mark is one named instant event on a track (process starts, fault
+// Mark is one named instant event on a track (merge start and end, fault
 // transitions, ...).
 type Mark struct {
 	Track int
@@ -271,8 +271,8 @@ func (r *Recorder) Mark(track int, name string, at sim.Time) {
 }
 
 // Event implements sim.Tracer, so a Recorder can be installed as the
-// kernel's tracer: process lifecycle events land as marks on the CPU
-// track.
+// kernel's tracer: the merge's lifecycle events land as marks on the
+// CPU track.
 func (r *Recorder) Event(t sim.Time, kind string, args ...any) {
 	if r == nil {
 		return
