@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -29,7 +30,7 @@ func checkQuickGolden(t *testing.T, got string) {
 	}
 	want, err := os.ReadFile(quickGolden)
 	if err != nil {
-		t.Fatalf("%v (run go test -run TestParallelMatchesSerial -update to create it)", err)
+		t.Fatalf("%v (run go test -run TestQuickRenderGolden -update to create it)", err)
 	}
 	if got != string(want) {
 		t.Fatalf("quick render differs from %s:\n%s", quickGolden, firstDiff(got, string(want)))
@@ -57,31 +58,53 @@ func render(t *testing.T, outs []Output) string {
 	return sb.String()
 }
 
+var (
+	serialQuickOnce sync.Once
+	serialQuickOuts []Output
+	serialQuickErr  error
+)
+
+// serialQuick runs the full quick experiment set once serially (one
+// trial, seed 7) and shares the outputs between the tests that need
+// them, so the golden check and the parallel comparison cost one run.
+func serialQuick(t *testing.T) []Output {
+	t.Helper()
+	serialQuickOnce.Do(func() {
+		serialQuickOuts, serialQuickErr = RunAll(All(), Options{Trials: 1, Seed: 7, Quick: true, Workers: 1})
+	})
+	if serialQuickErr != nil {
+		t.Fatal(serialQuickErr)
+	}
+	return serialQuickOuts
+}
+
+// TestQuickRenderGolden pins what the figures say: the serial render of
+// the full quick experiment set must equal the committed
+// testdata/quick.txt. Regenerate the golden with -update only when a
+// change to the figures is intended.
+func TestQuickRenderGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full quick figure set")
+	}
+	checkQuickGolden(t, render(t, serialQuick(t)))
+}
+
 // TestParallelMatchesSerial is the determinism contract: the full quick
 // experiment set, run once serially and once through the parallel
 // executor with more workers than cores, must render byte-identical
-// figure CSVs and tables, and the serial render must equal the
-// committed testdata/quick.txt. Seeds derive from point and trial
-// indices, never from worker identity, and results are collected by
-// index — so any divergence between the runs means a
-// scheduling-dependent code path leaked into the simulation, and any
-// divergence from the golden is a change in what the figures say.
-// Regenerate the golden with -update only when that change is intended.
+// figure CSVs and tables. Seeds derive from point and trial indices,
+// never from worker identity, and results are collected by index — so
+// any divergence means a scheduling-dependent code path leaked into the
+// simulation.
 func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick figure set twice")
 	}
-	specs := All()
-	serial, err := RunAll(specs, Options{Trials: 1, Seed: 7, Quick: true, Workers: 1})
+	par, err := RunAll(All(), Options{Trials: 1, Seed: 7, Quick: true, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunAll(specs, Options{Trials: 1, Seed: 7, Quick: true, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, got := render(t, serial), render(t, par)
-	checkQuickGolden(t, want)
+	want, got := render(t, serialQuick(t)), render(t, par)
 	if want != got {
 		t.Fatalf("parallel output diverged from serial reference:\nserial:\n%s\nparallel:\n%s",
 			firstDiff(want, got), firstDiff(got, want))

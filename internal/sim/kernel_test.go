@@ -81,22 +81,28 @@ func TestAfterZeroYields(t *testing.T) {
 	}
 }
 
+// mustPanicAt10 runs schedule from an event at time 10 and fails the
+// test unless it panics.
+func mustPanicAt10(t *testing.T, what string, schedule func(k *Kernel)) {
+	t.Helper()
+	k := New()
+	k.At(10, func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		schedule(k)
+	})
+	_ = k.Run()
+}
+
 func TestSchedulingInPastPanics(t *testing.T) {
-	for name, schedule := range map[string]func(k *Kernel){
-		"At before now":  func(k *Kernel) { k.At(5, func() {}) },
-		"negative After": func(k *Kernel) { k.After(-1, func() {}) },
-	} {
-		k := New()
-		k.At(10, func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			schedule(k)
-		})
-		_ = k.Run()
-	}
+	mustPanicAt10(t, "At before now", func(k *Kernel) { k.At(5, func() {}) })
+}
+
+func TestAfterNegativePanics(t *testing.T) {
+	mustPanicAt10(t, "negative After", func(k *Kernel) { k.After(-1, func() {}) })
 }
 
 func TestRunUntilHorizon(t *testing.T) {
