@@ -7,6 +7,14 @@
 //	mergesim -k 25 -d 5 -n 10 -inter          # + inter-run prefetching
 //	mergesim -k 25 -d 5 -n 10 -inter -sync    # synchronized variant
 //	mergesim -k 25 -d 5 -n 10 -inter -cache 500 -trials 5
+//
+// The config flags are service.SimulateRequest's command-line spelling
+// (service.BindFlags): a zero takes the same default it does in a simd
+// request body. -explain runs trial 1 traced and prints where its
+// makespan and CPU stalls went (internal/explain) instead of the
+// summary, as text or, with -json, as the report document:
+//
+//	mergesim -k 25 -d 5 -n 10 -inter -blocks 100 -merge-ms 0.3 -explain
 package main
 
 import (
@@ -15,115 +23,44 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/disk"
-	"repro/internal/faults"
-	"repro/internal/layout"
-	"repro/internal/sim"
+	"repro/internal/service"
 	"repro/internal/table"
 	"repro/internal/trace"
 )
 
 func main() {
+	var req service.SimulateRequest
+	finish := service.BindFlags(flag.CommandLine, &req)
 	var (
-		k         = flag.Int("k", 25, "number of sorted runs")
-		d         = flag.Int("d", 5, "number of input disks")
-		n         = flag.Int("n", 1, "intra-run prefetch depth N")
-		blocks    = flag.Int("blocks", 1000, "blocks per run")
-		inter     = flag.Bool("inter", false, "enable inter-run prefetching (all disks one run)")
-		sync      = flag.Bool("sync", false, "synchronized prefetching (CPU waits for whole batch)")
-		cacheSize = flag.Int("cache", 0, "cache size in blocks (0 = natural size; -1 = unlimited)")
-		mergeMs   = flag.Float64("merge-ms", 0, "CPU time to merge one block, in ms (0 = infinitely fast)")
-		trials    = flag.Int("trials", 1, "independent trials")
-		workers   = flag.Int("workers", 0, "worker goroutines for multi-trial runs (0 = GOMAXPROCS, 1 = serial; results are identical)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		greedy    = flag.Bool("greedy", false, "greedy cache admission instead of all-or-demand")
-		schedule  = flag.String("schedule", "fcfs", "disk queue discipline: fcfs, sstf, scan")
-		placement = flag.String("placement", "round-robin", "run placement: round-robin, clustered, striped")
-		verbose   = flag.Bool("v", false, "print per-disk statistics")
-		ganttMs   = flag.Float64("gantt-ms", 0, "render a disk-busy Gantt chart for the first N ms of trial 1")
-		jsonOut   = flag.Bool("json", false, "emit results as JSON instead of text")
-		reqLog    = flag.String("reqlog", "", "write a JSONL log of every disk request (trial 1) to this file")
-		traceOut  = flag.String("trace", "", "write an execution trace of trial 1 to this file")
-		traceFmt  = flag.String("trace-format", "chrome", "trace format: chrome (Perfetto/chrome://tracing JSON) or csv")
-		traceMax  = flag.Int("trace-events", 0, "cap on recorded trace events (0 = default 1M; past it the trace truncates)")
-
-		faultDisk     = flag.Int("fault-disk", -1, "disk index to inject faults into (-1 = none)")
-		faultSlowdown = flag.Float64("fault-slowdown", 0, "fail-slow service-time multiplier for the faulted disk (>= 1)")
-		faultSlowAt   = flag.Float64("fault-slowdown-at-ms", 0, "simulated instant the slowdown phases in, in ms (0 = from the start)")
-		faultErrProb  = flag.Float64("fault-error-prob", 0, "per-request transient read-error probability on the faulted disk")
-		faultRetries  = flag.Int("fault-retries", 0, "re-read cap per request (0 = default 3); exhausting it aborts with an unreadable-disk error")
-		faultOutage   = flag.String("fault-outage", "", "outage windows for the faulted disk, \"start:end[,start:end]\" in ms")
+		trials     = flag.Int("trials", 1, "independent trials")
+		workers    = flag.Int("workers", 0, "worker goroutines for multi-trial runs (0 = GOMAXPROCS, 1 = serial; results are identical)")
+		verbose    = flag.Bool("v", false, "print per-disk statistics")
+		ganttMs    = flag.Float64("gantt-ms", 0, "render a disk-busy Gantt chart for the first N ms of trial 1")
+		jsonOut    = flag.Bool("json", false, "emit results as JSON instead of text")
+		reqLog     = flag.String("reqlog", "", "write a JSONL log of every disk request (trial 1) to this file")
+		traceOut   = flag.String("trace", "", "write an execution trace of trial 1 to this file")
+		traceFmt   = flag.String("trace-format", "chrome", "trace format: chrome (Perfetto/chrome://tracing JSON) or csv")
+		traceMax   = flag.Int("trace-events", 0, "cap on recorded trace events (0 = default 1M; past it the trace truncates)")
+		explainRun = flag.Bool("explain", false, "print trial 1's stall-attribution report (internal/explain) instead of the summary; exit 1 if it breaks conservation")
 	)
 	flag.Parse()
-
-	cfg := core.Default()
-	cfg.K = *k
-	cfg.D = *d
-	cfg.N = *n
-	cfg.BlocksPerRun = *blocks
-	cfg.InterRun = *inter
-	cfg.Synchronized = *sync
-	cfg.MergeTimePerBlock = sim.Ms(*mergeMs)
-	cfg.Seed = *seed
-	switch *cacheSize {
-	case 0:
-		cfg.CacheBlocks = cfg.DefaultCache()
-	case -1:
-		cfg.CacheBlocks = cache.Unlimited
-	default:
-		cfg.CacheBlocks = *cacheSize
+	if err := finish(); err != nil {
+		fatal(err)
 	}
-	if *greedy {
-		cfg.Admission = cache.Greedy
-	}
-	switch *schedule {
-	case "fcfs":
-		cfg.Disk.Discipline = disk.FCFS
-	case "sstf":
-		cfg.Disk.Discipline = disk.SSTF
-	case "scan":
-		cfg.Disk.Discipline = disk.SCAN
-	default:
-		fatal(fmt.Errorf("unknown discipline %q", *schedule))
-	}
-	switch *placement {
-	case "round-robin":
-		cfg.Placement = layout.RoundRobin
-	case "clustered":
-		cfg.Placement = layout.Clustered
-	case "striped":
-		cfg.Placement = layout.Striped
-	default:
-		fatal(fmt.Errorf("unknown placement %q", *placement))
-	}
-
-	if *faultDisk >= 0 {
-		spec := faults.DiskSpec{
-			Disk:          *faultDisk,
-			Slowdown:      *faultSlowdown,
-			SlowdownAtMs:  *faultSlowAt,
-			ReadErrorProb: *faultErrProb,
-			MaxRetries:    *faultRetries,
-		}
-		var err error
-		if spec.Outages, err = parseOutages(*faultOutage); err != nil {
-			fatal(err)
-		}
-		cfg.Faults = &faults.Spec{Disks: []faults.DiskSpec{spec}}
-	} else if *faultSlowdown != 0 || *faultErrProb != 0 || *faultOutage != "" {
-		fatal(fmt.Errorf("fault flags need -fault-disk to name the target disk"))
+	cfg, err := req.Config()
+	if err != nil {
+		fatal(err)
 	}
 
 	cfg.RecordTimeline = *ganttMs > 0
 	var logFile *os.File
 	var logBuf *bufio.Writer
 	if *reqLog != "" {
-		var err error
 		logFile, err = os.Create(*reqLog)
 		if err != nil {
 			fatal(err)
@@ -140,13 +77,13 @@ func main() {
 			*trials = 1
 		}
 	}
-	if *traceOut != "" {
-		if *traceFmt != "chrome" && *traceFmt != "csv" {
+	if *traceOut != "" || *explainRun {
+		if *traceOut != "" && *traceFmt != "chrome" && *traceFmt != "csv" {
 			fatal(fmt.Errorf("unknown trace format %q (want chrome or csv)", *traceFmt))
 		}
 		cfg.Trace = trace.New(*traceMax)
 		if *trials > 1 {
-			fmt.Fprintln(os.Stderr, "mergesim: -trace forces a single trial")
+			fmt.Fprintln(os.Stderr, "mergesim: -trace and -explain force a single trial")
 			*trials = 1
 		}
 	}
@@ -155,15 +92,15 @@ func main() {
 		fatal(err)
 	}
 	agg := aggs[0]
-	if cfg.Trace != nil {
+	if *traceOut != "" {
 		if err := writeTrace(*traceOut, *traceFmt, cfg.Trace); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "trace written to %s (%d events, format %s)\n",
 			*traceOut, cfg.Trace.Len(), *traceFmt)
-		if cfg.Trace.Truncated() {
-			fmt.Fprintln(os.Stderr, "mergesim: trace truncated at the event cap; raise -trace-events for a full timeline")
-		}
+	}
+	if cfg.Trace != nil && cfg.Trace.Truncated() {
+		fmt.Fprintln(os.Stderr, "mergesim: trace truncated at the event cap; raise -trace-events for a full timeline")
 	}
 	if logFile != nil {
 		// A truncated request log is worse than no log: surface flush
@@ -177,8 +114,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "request log written to %s\n", *reqLog)
 	}
 
+	if *explainRun {
+		printExplain(agg.Results[0], cfg.Trace, *jsonOut)
+		return
+	}
 	if *jsonOut {
-		emitJSON(agg, cfg.Trace != nil && cfg.Trace.Truncated())
+		// The shared result schema that simd serves, so scripted
+		// consumers can switch between the CLI and the daemon freely.
+		// A traced run that hit its event cap flags trace_truncated,
+		// mirroring the stderr warning for consumers that only read
+		// stdout.
+		doc := core.NewResultJSON(agg)
+		doc.TraceTruncated = cfg.Trace != nil && cfg.Trace.Truncated()
+		printJSON(doc)
 		return
 	}
 
@@ -232,17 +180,27 @@ func main() {
 	}
 }
 
-// emitJSON writes the shared machine-readable result schema
-// (core.ResultJSON) — the same document `simd` serves, so scripted
-// consumers can switch between the CLI and the daemon freely. A traced
-// run that hit its event cap flags trace_truncated, mirroring the
-// stderr warning for consumers that only read stdout.
-func emitJSON(agg core.Aggregate, traceTruncated bool) {
-	doc := core.NewResultJSON(agg)
-	doc.TraceTruncated = traceTruncated
+// printExplain prints the explain report of a traced trial; a
+// conservation violation exits 1 before anything is printed.
+func printExplain(res core.Result, rec *trace.Recorder, asJSON bool) {
+	rep, err := service.Attribute(res, rec)
+	if err != nil {
+		fatal(fmt.Errorf("conservation violated: %w", err))
+	}
+	if asJSON {
+		printJSON(rep)
+		return
+	}
+	if err := rep.WriteText(os.Stdout); err != nil {
+		fatal(err)
+	}
+}
+
+// printJSON writes v to stdout as indented JSON.
+func printJSON(v any) {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+	if err := enc.Encode(v); err != nil {
 		fatal(err)
 	}
 }
@@ -294,23 +252,6 @@ func writeTrace(path, format string, rec *trace.Recorder) error {
 		return fmt.Errorf("trace %s: %w", path, err)
 	}
 	return nil
-}
-
-// parseOutages parses "start:end[,start:end]" (milliseconds) into
-// outage windows; validation of ordering happens in cfg.Validate.
-func parseOutages(s string) ([]faults.Window, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []faults.Window
-	for _, part := range strings.Split(s, ",") {
-		var w faults.Window
-		if _, err := fmt.Sscanf(part, "%f:%f", &w.StartMs, &w.EndMs); err != nil {
-			return nil, fmt.Errorf("outage %q: want start:end in ms", part)
-		}
-		out = append(out, w)
-	}
-	return out, nil
 }
 
 func cacheStr(c int) string {

@@ -1,13 +1,12 @@
-// Command traceq queries a merge execution trace: it builds the
+// Command traceq queries a saved merge execution trace: it builds the
 // internal/explain attribution report — where the makespan went per
 // disk and phase, which disk each CPU stall was waiting on, queue and
 // cache distributions, and the top stall chains — and renders it as
-// text, JSON, or an SVG timeline.
+// text, JSON, or an SVG timeline. It only reads traces; to simulate a
+// config and explain it in one step, use mergesim -explain.
 //
-// It works from either source:
-//
-//	traceq -trace run.csv                 # a mergesim -trace -trace-format csv export ("-" = stdin)
-//	traceq -k 25 -d 5 -n 10 -inter        # simulate the config, then explain it
+//	mergesim -k 25 -d 5 -n 10 -inter -trace run.csv -trace-format csv
+//	traceq -trace run.csv                 # "-" = stdin
 //
 // Useful flags: -json for the machine-readable report, -svg FILE for
 // the timeline, -top N for more chains, -check to exit nonzero when the
@@ -16,86 +15,43 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"repro/internal/cache"
-	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/explain"
-	"repro/internal/layout"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 func main() {
 	var (
-		traceIn  = flag.String("trace", "", "read a CSV trace export instead of simulating (\"-\" = stdin)")
-		makespan = flag.Float64("makespan-ms", 0, "with -trace: the run's makespan in ms (0 = infer from the last span)")
-
-		k         = flag.Int("k", 25, "number of sorted runs")
-		d         = flag.Int("d", 5, "number of input disks")
-		n         = flag.Int("n", 1, "intra-run prefetch depth N")
-		blocks    = flag.Int("blocks", 1000, "blocks per run")
-		inter     = flag.Bool("inter", false, "enable inter-run prefetching")
-		sync      = flag.Bool("sync", false, "synchronized prefetching")
-		cacheSize = flag.Int("cache", 0, "cache size in blocks (0 = natural size; -1 = unlimited)")
-		mergeMs   = flag.Float64("merge-ms", 0, "CPU time to merge one block, in ms")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		greedy    = flag.Bool("greedy", false, "greedy cache admission")
-		schedule  = flag.String("schedule", "fcfs", "disk queue discipline: fcfs, sstf, scan")
-		placement = flag.String("placement", "round-robin", "run placement: round-robin, clustered, striped")
-		traceMax  = flag.Int("trace-events", 0, "cap on recorded trace events (0 = default 1M)")
-
-		jsonOut = flag.Bool("json", false, "emit the report as JSON instead of text")
-		svgOut  = flag.String("svg", "", "also write an SVG timeline to this file")
-		topN    = flag.Int("top", 5, "number of stall chains to extract")
-		check   = flag.Bool("check", false, "verify the conservation invariant; exit 1 on violation")
+		traceIn  = flag.String("trace", "", "the CSV trace export to read (\"-\" = stdin; required)")
+		makespan = flag.Float64("makespan-ms", 0, "the run's makespan in ms (0 = infer from the last span)")
+		jsonOut  = flag.Bool("json", false, "emit the report as JSON instead of text")
+		svgOut   = flag.String("svg", "", "also write an SVG timeline to this file")
+		topN     = flag.Int("top", 5, "number of stall chains to extract")
+		check    = flag.Bool("check", false, "verify the conservation invariant; exit 1 on violation")
 	)
 	flag.Parse()
+	if *traceIn == "" {
+		fatal(errors.New("-trace is required (to simulate a config and explain it, use mergesim -explain)"))
+	}
 
-	var (
-		rec       *trace.Recorder
-		ms        = sim.Ms(*makespan)
-		stallTime sim.Time
-		haveStall bool
-	)
-	if *traceIn != "" {
-		var err error
-		rec, err = readTrace(*traceIn)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		cfg, err := buildConfig(*k, *d, *n, *blocks, *inter, *sync, *cacheSize,
-			*mergeMs, *seed, *greedy, *schedule, *placement)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Trace = trace.New(*traceMax)
-		aggs, err := core.RunGrid([]core.Config{cfg}, 1, 1)
-		if err != nil {
-			fatal(err)
-		}
-		rec = cfg.Trace
-		ms = aggs[0].Results[0].TotalTime
-		stallTime = aggs[0].Results[0].StallTime
-		haveStall = true
+	rec, err := readTrace(*traceIn)
+	if err != nil {
+		fatal(err)
 	}
 	if rec.Truncated() {
 		fmt.Fprintln(os.Stderr, "traceq: warning: trace hit its event cap and is truncated; the report is incomplete")
 	}
 
-	rep := explain.Build(rec, explain.Options{Makespan: ms, TopChains: *topN})
+	rep := explain.Build(rec, explain.Options{Makespan: sim.Ms(*makespan), TopChains: *topN})
 
 	if *check {
-		st := rep.Stall.Total
-		if haveStall {
-			st = stallTime
-		}
-		if err := rep.Check(st); err != nil {
+		if err := rep.Check(rep.Stall.Total); err != nil {
 			fmt.Fprintf(os.Stderr, "traceq: conservation violated: %v\n", err)
 			os.Exit(1)
 		}
@@ -139,53 +95,6 @@ func readTrace(path string) (*trace.Recorder, error) {
 		r = f
 	}
 	return trace.ReadCSV(r)
-}
-
-// buildConfig mirrors mergesim's flag-to-config mapping for the subset
-// traceq accepts.
-func buildConfig(k, d, n, blocks int, inter, sync bool, cacheSize int,
-	mergeMs float64, seed uint64, greedy bool, schedule, placement string) (core.Config, error) {
-	cfg := core.Default()
-	cfg.K = k
-	cfg.D = d
-	cfg.N = n
-	cfg.BlocksPerRun = blocks
-	cfg.InterRun = inter
-	cfg.Synchronized = sync
-	cfg.MergeTimePerBlock = sim.Ms(mergeMs)
-	cfg.Seed = seed
-	switch cacheSize {
-	case 0:
-		cfg.CacheBlocks = cfg.DefaultCache()
-	case -1:
-		cfg.CacheBlocks = cache.Unlimited
-	default:
-		cfg.CacheBlocks = cacheSize
-	}
-	if greedy {
-		cfg.Admission = cache.Greedy
-	}
-	switch schedule {
-	case "fcfs":
-		cfg.Disk.Discipline = disk.FCFS
-	case "sstf":
-		cfg.Disk.Discipline = disk.SSTF
-	case "scan":
-		cfg.Disk.Discipline = disk.SCAN
-	default:
-		return cfg, fmt.Errorf("unknown discipline %q", schedule)
-	}
-	switch placement {
-	case "round-robin":
-		cfg.Placement = layout.RoundRobin
-	case "clustered":
-		cfg.Placement = layout.Clustered
-	case "striped":
-		cfg.Placement = layout.Striped
-	default:
-		return cfg, fmt.Errorf("unknown placement %q", placement)
-	}
-	return cfg, nil
 }
 
 func fatal(err error) {

@@ -57,7 +57,7 @@ func (s *Service) Explain(ctx context.Context, req SimulateRequest) ([]byte, Cac
 	if trials != 1 {
 		return nil, CacheMiss, badRequestf("explain requires trials = 1 (attribution is one replication's timeline)")
 	}
-	cfg, err := req.config()
+	cfg, err := req.Config()
 	if err != nil {
 		return nil, CacheMiss, err
 	}
@@ -111,14 +111,15 @@ func (s *Service) explain(ctx context.Context, cfg core.Config, key, resKey stri
 		s.cacheAdd(resKey, plain)
 	}
 
-	rep := explain.Build(rec, explain.Options{Makespan: res.TotalTime})
+	rep, err := Attribute(res, rec)
+	if err != nil {
+		// A conservation failure is a bug, not a client error; surface
+		// it as a 500 rather than serving an attribution that doesn't
+		// add up.
+		return nil, err
+	}
 	if rec.Truncated() {
 		s.met.addTraceTruncated()
-	} else if err := rep.Check(res.StallTime); err != nil {
-		// A conservation failure on an untruncated trace is a bug, not
-		// a client error; surface it as a 500 rather than serving an
-		// attribution that doesn't add up.
-		return nil, err
 	}
 	body, err := json.Marshal(explainResponse{
 		ResultJSON:     result,
@@ -134,4 +135,18 @@ func (s *Service) explain(ctx context.Context, cfg core.Config, key, resKey stri
 		s.cacheAdd(key, body)
 	}
 	return body, nil
+}
+
+// Attribute builds the explain report of one traced run at its exact
+// makespan. An untruncated trace must conserve the engine's own stall
+// total; a truncated one cannot, so it is reported without the check.
+// POST /v1/explain and mergesim -explain both apply this rule.
+func Attribute(res core.Result, rec *trace.Recorder) (*explain.Report, error) {
+	rep := explain.Build(rec, explain.Options{Makespan: res.TotalTime})
+	if !rec.Truncated() {
+		if err := rep.Check(res.StallTime); err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
 }

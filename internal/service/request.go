@@ -16,6 +16,8 @@ import (
 // natural cache, seed 1), so `{}` is a valid request for the paper's
 // baseline. Enum fields are named strings — the same names the
 // mergesim flags accept — and unknown names are rejected with a 400.
+// It is the one external config spec: the CLIs bind their flags onto
+// it (BindFlags), and Config is the only mapping to a core.Config.
 type SimulateRequest struct {
 	K            int   `json:"k,omitempty"`
 	D            int   `json:"d,omitempty"`
@@ -92,12 +94,12 @@ func badRequestf(format string, args ...any) error {
 	return &requestError{msg: fmt.Sprintf(format, args...)}
 }
 
-// config materializes the request into a validated core.Config. The
+// Config materializes the request into a validated core.Config. The
 // boundary is stricter than core.Config.Validate in one place: k < 2
 // is rejected here, because a single-run "merge" is only meaningful
 // when replaying a real sort's final pass, never as a service request
 // (core keeps accepting K = 1 for that replay path).
-func (r SimulateRequest) config() (core.Config, error) {
+func (r SimulateRequest) Config() (core.Config, error) {
 	cfg := core.Default()
 	if r.K != 0 {
 		if r.K < 2 {

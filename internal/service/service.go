@@ -243,7 +243,7 @@ func (s *Service) Simulate(ctx context.Context, req SimulateRequest) ([]byte, Ca
 	if err != nil {
 		return nil, "", err
 	}
-	cfg, err := req.config()
+	cfg, err := req.Config()
 	if err != nil {
 		return nil, "", err
 	}
@@ -302,7 +302,7 @@ func (s *Service) SimulateTraced(ctx context.Context, req SimulateRequest) ([]by
 	if trials != 1 {
 		return nil, badRequestf("trace requires trials = 1 (a trace is one replication's timeline)")
 	}
-	cfg, err := req.config()
+	cfg, err := req.Config()
 	if err != nil {
 		return nil, err
 	}
@@ -389,7 +389,7 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) ([]byte, int, int
 		if p.Trace {
 			return nil, 0, 0, badRequestf("points[%d]: trace is not supported in sweeps; use /v1/simulate", i)
 		}
-		cfg, err := p.config()
+		cfg, err := p.Config()
 		if err != nil {
 			return nil, 0, 0, badRequestf("points[%d]: %v", i, err)
 		}
