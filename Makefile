@@ -19,12 +19,16 @@ test:
 race:
 	go test -race ./...
 
-# Static analysis: go vet and the repo-specific detlint analyzers are
-# mandatory and hermetic (stdlib only). staticcheck and govulncheck run
+# Static analysis: gofmt, go vet and the repo-specific detlint
+# analyzers are mandatory and hermetic (stdlib only); any file gofmt
+# would change fails the target. staticcheck and govulncheck run
 # at their pinned versions when installed; install hints otherwise.
 #   go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 #   go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 	go vet ./...
 	go run ./cmd/detlint -baseline .detlint-baseline
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -33,6 +33,12 @@ type engine struct {
 	nextFetch []int
 	inflight  []int
 
+	// live[d] is RunsOnDisk(d) in order, minus the runs with nothing
+	// left to fetch: the inter-run prefetch candidates of disk d under
+	// a contiguous placement (nil otherwise). The lists are carved from
+	// one k-length array.
+	live [][]int
+
 	// consumedOf[r] counts merged blocks of run r; active lists runs
 	// with unmerged blocks, positions tracked for O(1) removal.
 	consumedOf []int
@@ -45,6 +51,7 @@ type engine struct {
 	// Reusable planning buffers: one I/O decision is made per demand
 	// miss, and planFetch runs entirely inside them so the steady state
 	// allocates nothing. picked and inSet are cleared after every use.
+	// eligible is the striped placement's scan buffer.
 	nominees []piece
 	batchBuf []piece
 	eligible []int
@@ -169,10 +176,20 @@ func newEngine(cfg Config) (*engine, error) {
 		activePos:  make([]int, cfg.K),
 		nominees:   make([]piece, 0, cfg.D+1),
 		batchBuf:   make([]piece, 0, cfg.D+1),
-		eligible:   make([]int, 0, cfg.K),
 		picked:     make([]bool, cfg.K),
 		inSet:      make([]bool, cfg.K),
 		extBuf:     make([]layout.Extent, 0, cfg.D),
+	}
+	if cfg.InterRun && lay.HomeDisk(0) >= 0 {
+		buf := make([]int, 0, cfg.K)
+		e.live = make([][]int, cfg.D)
+		for d := range e.live {
+			start := len(buf)
+			buf = append(buf, lay.RunsOnDisk(d)...)
+			e.live[d] = buf[start:]
+		}
+	} else if cfg.InterRun {
+		e.eligible = make([]int, 0, cfg.K)
 	}
 	e.stallHist = stats.NewHistogram(0, 200, 400) // per-miss stall, ms
 	e.curN = cfg.N
@@ -266,6 +283,26 @@ func (e *engine) observeBusy(at sim.Time, busy bool) {
 // nor being fetched.
 func (e *engine) remainingToFetch(r int) int {
 	return e.lay.RunLength(r) - e.nextFetch[r]
+}
+
+// claim marks the next n blocks of run r as requested from disk and
+// returns the first of them. A run that claim leaves with nothing to
+// fetch drops out of its disk's live list.
+func (e *engine) claim(r, n int) int {
+	from := e.nextFetch[r]
+	e.nextFetch[r] += n
+	e.inflight[r] += n
+	if e.live != nil && from < e.lay.RunLength(r) && e.nextFetch[r] >= e.lay.RunLength(r) {
+		d := e.lay.HomeDisk(r)
+		l := e.live[d]
+		for i, x := range l {
+			if x == r {
+				e.live[d] = append(l[:i], l[i+1:]...)
+				break
+			}
+		}
+	}
+	return from
 }
 
 // deactivate removes run r from the active set in O(1).
@@ -375,14 +412,21 @@ func (e *engine) homeDiskOf(r int) int {
 // choosePrefetchRun picks the run to prefetch on disk d per the
 // configured policy, or -1 if no eligible run exists. Runs in e.picked
 // (the demand run and runs already in this batch) are never chosen.
+// Under a contiguous placement those runs live on other disks, so
+// disk d's live list is already the eligible set, in RunsOnDisk order.
 func (e *engine) choosePrefetchRun(d int) int {
-	eligible := e.eligible[:0]
-	for _, r := range e.lay.RunsOnDisk(d) {
-		if !e.picked[r] && e.remainingToFetch(r) > 0 {
-			eligible = append(eligible, r)
+	var eligible []int
+	if e.live != nil {
+		eligible = e.live[d]
+	} else {
+		eligible = e.eligible[:0]
+		for _, r := range e.lay.RunsOnDisk(d) {
+			if !e.picked[r] && e.remainingToFetch(r) > 0 {
+				eligible = append(eligible, r)
+			}
 		}
+		e.eligible = eligible
 	}
-	e.eligible = eligible
 	if len(eligible) == 0 {
 		return -1
 	}

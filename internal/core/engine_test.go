@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -596,6 +597,53 @@ func TestStripedInterRunDemandRouting(t *testing.T) {
 	for i, d := range res.PerDisk {
 		if d.Blocks == 0 {
 			t.Fatalf("disk %d idle under striped inter-run", i)
+		}
+	}
+}
+
+// TestLiveListsMatchScan: under a contiguous placement, after every
+// claim each disk's live list is RunsOnDisk(d) minus the runs with
+// nothing left to fetch, in order — the list choosePrefetchRun draws
+// from. Striped placement keeps no lists.
+func TestLiveListsMatchScan(t *testing.T) {
+	for _, p := range []layout.Placement{layout.RoundRobin, layout.Clustered, layout.Striped} {
+		cfg := Default()
+		cfg.K, cfg.D, cfg.BlocksPerRun = 11, 3, 5
+		cfg.InterRun = true
+		cfg.Placement = p
+		e, err := newEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == layout.Striped {
+			if e.live != nil {
+				t.Fatalf("striped: live lists %v, want none", e.live)
+			}
+			continue
+		}
+		for step := 0; ; step++ {
+			var open []int
+			for r := 0; r < cfg.K; r++ {
+				if e.remainingToFetch(r) > 0 {
+					open = append(open, r)
+				}
+			}
+			if len(open) == 0 {
+				break
+			}
+			r := open[step*7%len(open)]
+			e.claim(r, 1+step%e.remainingToFetch(r))
+			for d := 0; d < cfg.D; d++ {
+				var want []int
+				for _, r := range e.lay.RunsOnDisk(d) {
+					if e.remainingToFetch(r) > 0 {
+						want = append(want, r)
+					}
+				}
+				if !slices.Equal(e.live[d], want) {
+					t.Fatalf("%v step %d: disk %d live %v, want %v", p, step, d, e.live[d], want)
+				}
+			}
 		}
 	}
 }

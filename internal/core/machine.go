@@ -101,9 +101,7 @@ func (m *machine) initialLoad() {
 		if !e.cache.Reserve(per) {
 			panic("core: initial load exceeds cache")
 		}
-		e.nextFetch[r] = per
-		e.inflight[r] = per
-		n += e.submitRun(r, 0, per, true)
+		n += e.submitRun(r, e.claim(r, per), per, true)
 	}
 	m.stallStart = e.k.Now()
 	m.state = msInitLoad
@@ -487,10 +485,7 @@ func (e *engine) submitBatch(batch []piece, awaited bool) int {
 			// and the merge loop freed the demand block's slot first.
 			panic("core: reservation failed after admission")
 		}
-		from := e.nextFetch[pc.run]
-		e.nextFetch[pc.run] += pc.n
-		e.inflight[pc.run] += pc.n
-		count += e.submitRun(pc.run, from, pc.n, awaited)
+		count += e.submitRun(pc.run, e.claim(pc.run, pc.n), pc.n, awaited)
 	}
 	return count
 }

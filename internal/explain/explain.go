@@ -199,51 +199,55 @@ func build(r *trace.Recorder, opts Options) (*Report, int) {
 
 	// Per-disk phase accounting. Spans recorded past the makespan (a
 	// MaxSimTime cutoff leaves dispatched requests running) are clamped
-	// to it so per-disk totals stay conservative.
-	byTrack := map[int]*DiskReport{}
+	// to it so per-disk totals stay conservative. Each track's spans and
+	// queue samples are counted first, so every bucket is allocated once
+	// at its exact size.
+	tracks := map[int]*diskTrack{}
 	trackOrder := []int{}
-	diskOf := func(track int) *DiskReport {
-		d, ok := byTrack[track]
+	trackOf := func(track int) *diskTrack {
+		d, ok := tracks[track]
 		if !ok {
-			d = &DiskReport{Name: r.TrackName(track), track: track}
-			byTrack[track] = d
+			d = &diskTrack{rep: DiskReport{Name: r.TrackName(track), track: track}}
+			tracks[track] = d
 			trackOrder = append(trackOrder, track)
 		}
 		return d
 	}
-	diskSpans := map[int]*trackSpans{}
+	for _, s := range r.DiskSpans() {
+		if _, _, ok := clamp(s.Start, s.End, makespan); ok {
+			trackOf(s.Track).spanLen++
+		}
+	}
+	for _, q := range r.QueueSamples() {
+		trackOf(q.Track).queueLen++
+	}
+	for _, p := range r.PrefetchSpans() {
+		d := trackOf(p.Track)
+		d.rep.Prefetches++
+		d.rep.PrefetchBlocks += p.Blocks
+	}
+	sort.Ints(trackOrder)
+	for _, t := range trackOrder {
+		d := tracks[t]
+		d.spans.spans = make([]trace.DiskSpan, 0, d.spanLen)
+		d.queue = make([]trace.QueueSample, 0, d.queueLen)
+	}
 	for _, s := range r.DiskSpans() {
 		start, end, ok := clamp(s.Start, s.End, makespan)
 		if !ok {
 			continue
 		}
-		d := diskOf(s.Track)
-		d.Phases.add(s.Phase, end-start)
-		ts := diskSpans[s.Track]
-		if ts == nil {
-			ts = &trackSpans{}
-			diskSpans[s.Track] = ts
-		}
-		ts.spans = append(ts.spans, trace.DiskSpan{Track: s.Track, Phase: s.Phase, Start: start, End: end})
+		d := tracks[s.Track]
+		d.rep.Phases.add(s.Phase, end-start)
+		d.spans.spans = append(d.spans.spans, trace.DiskSpan{Track: s.Track, Phase: s.Phase, Start: start, End: end})
 	}
-	for _, p := range r.PrefetchSpans() {
-		d := diskOf(p.Track)
-		d.Prefetches++
-		d.PrefetchBlocks += p.Blocks
-	}
-
-	// Queue distributions per track.
-	queues := map[int][]trace.QueueSample{}
 	for _, q := range r.QueueSamples() {
-		queues[q.Track] = append(queues[q.Track], q)
+		d := tracks[q.Track]
+		d.queue = append(d.queue, q)
 	}
-	for t, samples := range queues {
-		diskOf(t).Queue = stepDistribution(samples, makespan)
-	}
-
-	sort.Ints(trackOrder)
 	for _, t := range trackOrder {
-		d := byTrack[t]
+		d := &tracks[t].rep
+		d.Queue = stepDistribution(tracks[t].queue, queueAt, queueDepth, makespan)
 		d.Busy = d.Phases.Busy()
 		d.Idle = makespan - d.Busy
 		if makespan > 0 {
@@ -254,7 +258,6 @@ func build(r *trace.Recorder, opts Options) (*Report, int) {
 
 	// CPU accounting. Initial-load stalls carry no run identity and are
 	// reported separately: core excludes them from Result.StallTime.
-	var stalls []trace.CPUSpan
 	for _, s := range r.CPUSpans() {
 		start, end, ok := clamp(s.Start, s.End, makespan)
 		if !ok {
@@ -266,7 +269,6 @@ func build(r *trace.Recorder, opts Options) (*Report, int) {
 			rep.CPU.Compute += d
 		case s.Run >= 0:
 			rep.CPU.Stall += d
-			stalls = append(stalls, trace.CPUSpan{Kind: s.Kind, Run: s.Run, Start: start, End: end})
 		default:
 			rep.CPU.InitialLoad += d
 		}
@@ -276,18 +278,24 @@ func build(r *trace.Recorder, opts Options) (*Report, int) {
 		rep.CPU.Utilization = float64(rep.CPU.Compute / makespan)
 	}
 
-	// Stall attribution + critical chains.
+	// Stall attribution + critical chains, over the run-attributed
+	// stalls in record order.
 	rep.Stall.Total = rep.CPU.Stall
 	attrStall := map[int]*DiskStall{}
 	fetches := newFetchIndex(r.PrefetchSpans())
 	steps := 0
 	for _, t := range trackOrder {
-		if ts := diskSpans[t]; ts != nil {
-			steps += ts.index()
-		}
+		steps += tracks[t].spans.index()
 	}
 	top := chainHeap{max: topN}
-	for i, s := range stalls {
+	i := -1
+	for _, s := range r.CPUSpans() {
+		start, end, ok := clamp(s.Start, s.End, makespan)
+		if !ok || s.Kind == trace.CPUCompute || s.Run < 0 {
+			continue
+		}
+		i++
+		s.Start, s.End = start, end
 		c := Chain{Run: s.Run, Start: s.Start, End: s.End, Duration: s.End - s.Start}
 		p := fetches.blocking(s)
 		if p == nil {
@@ -306,7 +314,7 @@ func build(r *trace.Recorder, opts Options) (*Report, int) {
 		c.Disk = ds.Name
 		c.Issued = p.Issued
 		var walked int
-		c.Phases, c.Queued, walked = diskSpans[p.Track].decompose(s.Start, s.End)
+		c.Phases, c.Queued, walked = tracks[p.Track].spans.decompose(s.Start, s.End)
 		steps += walked
 		rep.Stall.ByPhase.Seek += c.Phases.Seek
 		rep.Stall.ByPhase.Rotation += c.Phases.Rotation
@@ -328,8 +336,18 @@ func build(r *trace.Recorder, opts Options) (*Report, int) {
 	rep.Chains = top.ranked()
 
 	// Cache occupancy distribution.
-	rep.Cache = cacheDistribution(r.CacheSamples(), makespan)
+	rep.Cache = stepDistribution(r.CacheSamples(), cacheAt, cacheOccupied, makespan)
 	return rep, steps
+}
+
+// diskTrack is one disk track's share of the trace while build runs:
+// its report, its clamped phase spans and its queue samples. A counting
+// pass sets spanLen and queueLen before the buckets are allocated.
+type diskTrack struct {
+	rep               DiskReport
+	spans             trackSpans
+	queue             []trace.QueueSample
+	spanLen, queueLen int
 }
 
 // fetchIndex answers the blocking-fetch cascade for a stream of stalls
@@ -381,15 +399,30 @@ type runFetches struct {
 
 func newFetchIndex(fetches []trace.PrefetchSpan) *fetchIndex {
 	x := &fetchIndex{fetches: fetches, runOf: map[int]int{}, byDone: make([]int, len(fetches))}
-	for i, p := range fetches {
-		x.byDone[i] = i
+	// Count each run's fetches, then carve every run's issue order and
+	// prefix argmax from two arrays of len(fetches).
+	var counts []int
+	for _, p := range fetches {
 		ri, ok := x.runOf[p.Run]
 		if !ok {
-			ri = len(x.runs)
+			ri = len(counts)
 			x.runOf[p.Run] = ri
-			x.runs = append(x.runs, runFetches{})
+			counts = append(counts, 0)
 		}
-		x.runs[ri].byIssued = append(x.runs[ri].byIssued, i)
+		counts[ri]++
+	}
+	x.runs = make([]runFetches, len(counts))
+	issued, latest := make([]int, len(fetches)), make([]int, len(fetches))
+	off := 0
+	for ri, n := range counts {
+		x.runs[ri].byIssued = issued[off : off : off+n]
+		x.runs[ri].latest = latest[off : off+n]
+		off += n
+	}
+	for i, p := range fetches {
+		x.byDone[i] = i
+		rf := &x.runs[x.runOf[p.Run]]
+		rf.byIssued = append(rf.byIssued, i)
 	}
 	x.steps += len(fetches)
 	sort.SliceStable(x.byDone, func(i, j int) bool {
@@ -407,7 +440,6 @@ func newFetchIndex(fetches []trace.PrefetchSpan) *fetchIndex {
 			x.steps++
 			return fetches[rf.byIssued[i]].Issued < fetches[rf.byIssued[j]].Issued
 		})
-		rf.latest = make([]int, len(rf.byIssued))
 		for i, f := range rf.byIssued {
 			if i > 0 {
 				best := rf.latest[i-1]
@@ -618,15 +650,20 @@ func (h *chainHeap) ranked() []Chain {
 }
 
 // stepDistribution integrates a right-continuous step function given by
-// chronological samples over [0, makespan]; the level is 0 before the
-// first sample and holds the last sample's value to the end.
-func stepDistribution(samples []trace.QueueSample, makespan sim.Time) Distribution {
+// samples over [0, makespan]; at and level read one sample's instant
+// and level. The level is 0 before the first sample and holds the last
+// sample's value to the end. The recorder takes samples in
+// chronological order; out-of-order ones (a hand-made trace file) are
+// stable-sorted on a copy first.
+func stepDistribution[S any](samples []S, at func(S) sim.Time, level func(S) int, makespan sim.Time) Distribution {
 	if len(samples) == 0 || makespan <= 0 {
 		return Distribution{}
 	}
-	levels := make([]trace.QueueSample, len(samples))
-	copy(levels, samples)
-	sort.SliceStable(levels, func(i, j int) bool { return levels[i].At < levels[j].At })
+	before := func(i, j int) bool { return at(samples[i]) < at(samples[j]) }
+	if !sort.SliceIsSorted(samples, before) {
+		samples = append([]S(nil), samples...)
+		sort.SliceStable(samples, before)
+	}
 	timeAt := map[int]sim.Time{}
 	var integral float64
 	maxDepth := 0
@@ -638,15 +675,15 @@ func stepDistribution(samples []trace.QueueSample, makespan sim.Time) Distributi
 			integral += float64(depth) * float64(dt)
 		}
 	}
-	for _, s := range levels {
-		at := s.At
-		if at > makespan {
-			at = makespan
+	for _, s := range samples {
+		t, depth := at(s), level(s)
+		if t > makespan {
+			t = makespan
 		}
-		account(at, prevDepth)
-		prevAt, prevDepth = at, s.Depth
-		if s.Depth > maxDepth {
-			maxDepth = s.Depth
+		account(t, prevDepth)
+		prevAt, prevDepth = t, depth
+		if depth > maxDepth {
+			maxDepth = depth
 		}
 	}
 	account(makespan, prevDepth)
@@ -668,14 +705,12 @@ func stepDistribution(samples []trace.QueueSample, makespan sim.Time) Distributi
 	return Distribution{Mean: integral / float64(makespan), Max: maxDepth, P95: p95}
 }
 
-// cacheDistribution adapts cache samples to stepDistribution.
-func cacheDistribution(samples []trace.CacheSample, makespan sim.Time) Distribution {
-	qs := make([]trace.QueueSample, len(samples))
-	for i, s := range samples {
-		qs[i] = trace.QueueSample{At: s.At, Depth: s.Occupied}
-	}
-	return stepDistribution(qs, makespan)
-}
+// Accessors that let stepDistribution read queue and cache samples in
+// place.
+func queueAt(q trace.QueueSample) sim.Time  { return q.At }
+func queueDepth(q trace.QueueSample) int    { return q.Depth }
+func cacheAt(c trace.CacheSample) sim.Time  { return c.At }
+func cacheOccupied(c trace.CacheSample) int { return c.Occupied }
 
 // clamp restricts [start, end) to [0, makespan), reporting false for
 // intervals entirely outside it.

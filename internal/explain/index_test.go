@@ -2,8 +2,10 @@ package explain
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -51,6 +53,59 @@ func TestBuildWorkLinear(t *testing.T) {
 	t.Logf("work %d → %d steps (%.2f×); stalls×spans %.2f×", work1, work2, w, float64(quad2)/float64(quad1))
 	if w > 2.5 {
 		t.Fatalf("doubling the trace multiplied Build's work by %.2f× (%d → %d steps), want ≤ 2.5×", w, work1, work2)
+	}
+}
+
+// TestBuildAllocBounded pins Build's allocation to its input: every
+// bucket is counted before it is filled, so Build allocates a small
+// multiple of the span bytes it reads. On this trace (k=50, D=10, N=1,
+// 200 blocks/run) it allocated 0.79× the span bytes, and 3.11× when the
+// buckets grew by append; the bound sits between the two.
+func TestBuildAllocBounded(t *testing.T) {
+	cfg := core.Default()
+	cfg.K, cfg.D, cfg.N = 50, 10, 1
+	cfg.BlocksPerRun = 200
+	cfg.MergeTimePerBlock = sim.Ms(0.3)
+	cfg.CacheBlocks = cfg.DefaultCache()
+	cfg.Seed = 1
+	rec := trace.New(0)
+	cfg.Trace = rec
+	res, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spanBytes := len(rec.DiskSpans())*int(unsafe.Sizeof(trace.DiskSpan{})) +
+		len(rec.CPUSpans())*int(unsafe.Sizeof(trace.CPUSpan{})) +
+		len(rec.PrefetchSpans())*int(unsafe.Sizeof(trace.PrefetchSpan{})) +
+		len(rec.CacheSamples())*int(unsafe.Sizeof(trace.CacheSample{})) +
+		len(rec.QueueSamples())*int(unsafe.Sizeof(trace.QueueSample{})) +
+		len(rec.Marks())*int(unsafe.Sizeof(trace.Mark{}))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Build(rec, Options{Makespan: res.TotalTime})
+	runtime.ReadMemStats(&after)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(spanBytes)
+	t.Logf("Build allocated %.2f× its %d span bytes", ratio, spanBytes)
+	if ratio > 1.5 {
+		t.Fatalf("Build allocated %.2f× its %d span bytes, want ≤ 1.5", ratio, spanBytes)
+	}
+}
+
+// TestStepDistributionOutOfOrder: samples out of chronological order
+// (a hand-made trace file) are read as their stable sort by instant,
+// and the caller's slice is left as it was.
+func TestStepDistributionOutOfOrder(t *testing.T) {
+	sorted := []trace.CacheSample{{At: 0, Occupied: 1}, {At: 2, Occupied: 3}, {At: 2, Occupied: 5}, {At: 6, Occupied: 0}}
+	shuffled := []trace.CacheSample{sorted[3], sorted[1], sorted[0], sorted[2]}
+	kept := append([]trace.CacheSample(nil), shuffled...)
+	want := stepDistribution(sorted, cacheAt, cacheOccupied, 10)
+	if got := stepDistribution(shuffled, cacheAt, cacheOccupied, 10); got != want {
+		t.Errorf("out of order: %+v, want %+v", got, want)
+	}
+	for i := range kept {
+		if shuffled[i] != kept[i] {
+			t.Fatalf("stepDistribution reordered its input: %+v, want %+v", shuffled, kept)
+		}
 	}
 }
 

@@ -216,7 +216,9 @@ func checkHotCall(pass *lint.Pass, call *ast.CallExpr, report func(ast.Node, str
 		return
 	}
 	// Concrete non-pointer values passed to interface parameters box.
-	sig, ok := fn.Type().(*types.Signature)
+	// The instantiated signature decides: a value passed as a type
+	// parameter instantiated with its own type does not box.
+	sig, ok := pass.TypesInfo.TypeOf(call.Fun).(*types.Signature)
 	if !ok {
 		return
 	}

@@ -46,10 +46,13 @@ func keep(r *request) {}
 
 func trace(r request) {
 	fmt.Println("req", r.start) // want `fmt.Println \(interface boxing and formatting state\) in trace`
-	sink(r.count) // want `interface conversion of a concrete value \(boxes on the heap\) in trace`
+	sink(r.count)               // want `interface conversion of a concrete value \(boxes on the heap\) in trace`
+	hold(r)                     // T = request: passed by value, not boxed
 }
 
 func sink(v any) {}
+
+func hold[T any](v T) {}
 
 // cold owns the same constructs but is unreachable from any root: no
 // findings.

@@ -29,14 +29,14 @@ func TestBaselineRoundTrip(t *testing.T) {
 
 func TestBaselineRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
-		"1\tonly\ttwo",                      // missing field
-		"0\ta.go\tnondet\t\"m\"",            // zero count
-		"-3\ta.go\tnondet\t\"m\"",           // negative count
-		"x\ta.go\tnondet\t\"m\"",            // non-numeric count
-		"1\ta.go\tnondet\tunquoted",         // message not quoted
-		"1\ta.go\tNot-An-Analyzer\t\"m\"",   // bad analyzer name
-		"1\t\tnondet\t\"m\"",                // empty file
-		"1\ta\\b.go\tnondet\t\"m\"",         // backslash path
+		"1\tonly\ttwo",                                   // missing field
+		"0\ta.go\tnondet\t\"m\"",                         // zero count
+		"-3\ta.go\tnondet\t\"m\"",                        // negative count
+		"x\ta.go\tnondet\t\"m\"",                         // non-numeric count
+		"1\ta.go\tnondet\tunquoted",                      // message not quoted
+		"1\ta.go\tNot-An-Analyzer\t\"m\"",                // bad analyzer name
+		"1\t\tnondet\t\"m\"",                             // empty file
+		"1\ta\\b.go\tnondet\t\"m\"",                      // backslash path
 		"1\ta.go\tnondet\t\"m\"\n1\ta.go\tnondet\t\"m\"", // duplicate key
 	} {
 		if _, err := ParseBaseline(strings.NewReader(bad)); err == nil {

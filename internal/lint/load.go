@@ -56,8 +56,8 @@ var shared struct {
 	mu      sync.Mutex
 	fset    *token.FileSet
 	std     types.Importer
-	lists   map[string][]byte    // `go list` stdout by dir+patterns
-	checked map[string]*Package  // type-checked module packages by dir+path
+	lists   map[string][]byte     // `go list` stdout by dir+patterns
+	checked map[string]*Package   // type-checked module packages by dir+path
 	meta    map[string]*listedPkg // listed metadata by dir+path
 }
 

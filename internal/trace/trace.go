@@ -189,6 +189,25 @@ func (r *Recorder) admit() bool {
 	return true
 }
 
+// minGrowth is the capacity a category slice gets on its first event.
+const minGrowth = 256
+
+// push appends v to *s. A full slice moves to one of twice its capacity
+// (at least minGrowth), so a category of n events copies each event
+// about twice in total; append's own rule grows large slices by about
+// 1.25×, which copies every event about five times.
+func push[T any](s *[]T, v T) {
+	if len(*s) == cap(*s) {
+		//detlint:allow hotalloc tracing-enabled runs only; the zero-alloc path carries a nil recorder
+		grown := make([]T, len(*s), max(2*cap(*s), minGrowth))
+		copy(grown, *s)
+		*s = grown
+	}
+	n := len(*s)
+	*s = (*s)[:n+1]
+	(*s)[n] = v
+}
+
 // Track names a track id for the exporters ("cpu", "disk 3", ...).
 // Registration is idempotent and does not count against the event cap.
 func (r *Recorder) Track(id int, name string) {
@@ -207,8 +226,7 @@ func (r *Recorder) DiskPhase(track int, phase Phase, start, end sim.Time) {
 	if r == nil || end <= start || !r.admit() {
 		return
 	}
-	//detlint:allow hotalloc tracing-enabled runs only; the zero-alloc path carries a nil recorder
-	r.disk = append(r.disk, DiskSpan{Track: track, Phase: phase, Start: start, End: end})
+	push(&r.disk, DiskSpan{Track: track, Phase: phase, Start: start, End: end})
 }
 
 // CPUSpan records one compute or stall interval with no blocking-run
@@ -217,7 +235,7 @@ func (r *Recorder) CPUSpan(kind CPUKind, start, end sim.Time) {
 	if r == nil || end <= start || !r.admit() {
 		return
 	}
-	r.cpu = append(r.cpu, CPUSpan{Kind: kind, Run: -1, Start: start, End: end})
+	push(&r.cpu, CPUSpan{Kind: kind, Run: -1, Start: start, End: end})
 }
 
 // CPUStallOn records one stall interval attributed to the demand run
@@ -231,8 +249,7 @@ func (r *Recorder) CPUStallOn(run int, start, end sim.Time) {
 	if run < 0 {
 		run = -1
 	}
-	//detlint:allow hotalloc tracing-enabled runs only; the zero-alloc path carries a nil recorder
-	r.cpu = append(r.cpu, CPUSpan{Kind: CPUStall, Run: run, Start: start, End: end})
+	push(&r.cpu, CPUSpan{Kind: CPUStall, Run: run, Start: start, End: end})
 }
 
 // Prefetch records one fetch span: issued when the engine submitted the
@@ -241,7 +258,7 @@ func (r *Recorder) Prefetch(track, run, blocks int, issued, done sim.Time) {
 	if r == nil || !r.admit() {
 		return
 	}
-	r.prefetch = append(r.prefetch, PrefetchSpan{Track: track, Run: run, Blocks: blocks, Issued: issued, Done: done})
+	push(&r.prefetch, PrefetchSpan{Track: track, Run: run, Blocks: blocks, Issued: issued, Done: done})
 }
 
 // CacheSample records the cache occupancy at one instant.
@@ -249,7 +266,7 @@ func (r *Recorder) CacheSample(at sim.Time, occupied int) {
 	if r == nil || !r.admit() {
 		return
 	}
-	r.cache = append(r.cache, CacheSample{At: at, Occupied: occupied})
+	push(&r.cache, CacheSample{At: at, Occupied: occupied})
 }
 
 // QueueSample records one disk track's queue depth at one instant.
@@ -257,8 +274,7 @@ func (r *Recorder) QueueSample(track int, at sim.Time, depth int) {
 	if r == nil || !r.admit() {
 		return
 	}
-	//detlint:allow hotalloc tracing-enabled runs only; the zero-alloc path carries a nil recorder
-	r.queue = append(r.queue, QueueSample{Track: track, At: at, Depth: depth})
+	push(&r.queue, QueueSample{Track: track, At: at, Depth: depth})
 }
 
 // Mark records a named instant on a track.
@@ -266,8 +282,7 @@ func (r *Recorder) Mark(track int, name string, at sim.Time) {
 	if r == nil || !r.admit() {
 		return
 	}
-	//detlint:allow hotalloc tracing-enabled runs only; the zero-alloc path carries a nil recorder
-	r.marks = append(r.marks, Mark{Track: track, Name: name, At: at})
+	push(&r.marks, Mark{Track: track, Name: name, At: at})
 }
 
 // Event implements sim.Tracer, so a Recorder can be installed as the

@@ -61,10 +61,45 @@ func TestEventCapTruncates(t *testing.T) {
 
 func TestEmptySpansDropped(t *testing.T) {
 	r := New(0)
-	r.DiskPhase(1, PhaseSeek, 5, 5)   // zero-length: a 0-cylinder seek
-	r.CPUSpan(CPUStall, 7, 6)         // non-positive
+	r.DiskPhase(1, PhaseSeek, 5, 5) // zero-length: a 0-cylinder seek
+	r.CPUSpan(CPUStall, 7, 6)       // non-positive
 	if r.Len() != 0 {
 		t.Fatalf("recorded %d events from empty spans", r.Len())
+	}
+}
+
+// TestRecordingAllocsLogarithmic pins the recorder's growth rule: a
+// full category slice moves to one of twice its capacity, so recording
+// n events of one kind costs O(log n) allocations. For n = 2¹⁷+1 that
+// is New, the first 256-event slice and ten doublings up to 2¹⁸: 12.
+// append's own rule grows large slices by about 1.25× and took 31.
+func TestRecordingAllocsLogarithmic(t *testing.T) {
+	const n = 1<<17 + 1
+	kinds := []struct {
+		name   string
+		record func(r *Recorder, i int)
+	}{
+		{"disk", func(r *Recorder, i int) { r.DiskPhase(1, PhaseSeek, sim.Time(i), sim.Time(i+1)) }},
+		{"cpu", func(r *Recorder, i int) { r.CPUSpan(CPUCompute, sim.Time(i), sim.Time(i+1)) }},
+		{"stall", func(r *Recorder, i int) { r.CPUStallOn(3, sim.Time(i), sim.Time(i+1)) }},
+		{"prefetch", func(r *Recorder, i int) { r.Prefetch(1, 3, 1, sim.Time(i), sim.Time(i+1)) }},
+		{"cache", func(r *Recorder, i int) { r.CacheSample(sim.Time(i), i) }},
+		{"queue", func(r *Recorder, i int) { r.QueueSample(1, sim.Time(i), i) }},
+		{"mark", func(r *Recorder, i int) { r.Mark(CPUTrack, "m", sim.Time(i)) }},
+	}
+	for _, k := range kinds {
+		allocs := testing.AllocsPerRun(2, func() {
+			r := New(n)
+			for i := 0; i < n; i++ {
+				k.record(r, i)
+			}
+			if r.Len() != n {
+				t.Fatalf("%s: recorded %d events, want %d", k.name, r.Len(), n)
+			}
+		})
+		if allocs > 12 {
+			t.Errorf("%s: recording %d events took %v allocations, want ≤ 12", k.name, n, allocs)
+		}
 	}
 }
 
